@@ -15,16 +15,8 @@ from .analytic import (
     outage_static,
     outage_static_fixed,
 )
-from .hankel import HankelParams, PhasorSumDistribution, hankel_transform
-from .model import (
-    CurveKind,
-    OutageCurve,
-    Scenario,
-    Scheme,
-    SlowRealization,
-    effective_channel,
-    instantaneous_capacity,
-)
+from .hankel import PhasorSumDistribution, hankel_transform
+from .model import Scenario, Scheme, symbol_capacity
 from .montecarlo import McConfig, McResult, quantized_sum_moments, run
 from .report import FigureDataset, FigureId, build_figure, write_csv, write_json
 from .specfun import (

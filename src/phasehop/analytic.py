@@ -108,20 +108,27 @@ def _capacity_los(n: int, a: float) -> float:
     return float(val)
 
 
-def erg_capacity_los(n_avail: int, a: float) -> float:
+def erg_capacity_los(
+    n_avail: int, a: float, method: CapacityMethod = CapacityMethod.APPROX_EI
+) -> float:
     """Ergodic capacity in bits under phase hopping with a LOS component of
-    amplitude a, averaging the noncentral chi-square gain law."""
+    amplitude a, averaging the noncentral chi-square gain law. The exact
+    method is available for a = 0 only, where it is the NLOS capacity."""
     if n_avail < 0:
         raise ValueError(f"n_avail must be >= 0, got {n_avail}")
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
+    if method is CapacityMethod.EXACT_HANKEL:
+        if a != 0.0:
+            raise ValueError("exact ergodic capacity is available for a = 0 only")
+        return erg_capacity_nlos(n_avail, method)
     return _capacity_los(int(n_avail), float(a))
 
 
 def _erg_capacity(i: int, a: float, method: CapacityMethod) -> float:
     if a == 0.0:
         return erg_capacity_nlos(i, method)
-    return erg_capacity_los(i, a)
+    return erg_capacity_los(i, a, method)
 
 
 def _count_below(rate: float, n: int, a: float, method: CapacityMethod) -> int:

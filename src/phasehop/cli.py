@@ -124,6 +124,14 @@ def _print_rate(value: float):
     print(f"{value:.4f}")
 
 
+def _emit_csv(columns: dict, out) -> None:
+    """CSV to the --out path, or to stdout when none is given."""
+    if out is None:
+        sys.stdout.writelines(report.csv_lines(columns))
+    else:
+        report.write_csv(columns, out)
+
+
 def _add_scenario_flags(p: argparse.ArgumentParser, with_scheme=True):
     p.add_argument("--config", help="JSON scenario file")
     p.add_argument("--n", type=int, help="number of surface elements")
@@ -143,7 +151,7 @@ def _cmd_capacity(args) -> int:
     if a == 0.0:
         value = analytic.erg_capacity_nlos(args.links, method)
     else:
-        value = analytic.erg_capacity_los(args.links, a)
+        value = analytic.erg_capacity_los(args.links, a, method)
     _print_rate(value)
     return 0
 
@@ -177,18 +185,7 @@ def _cmd_outage(args) -> int:
     if rates.size == 1 and args.out is None:
         _print_prob(eps[0])
         return 0
-    dataset = report.FigureDataset(
-        report.FigureId.SCHEME_COMPARISON,
-        {"rate": rates, "outage": eps},
-        {"figure_id": report.FigureId.SCHEME_COMPARISON.value,
-         "scenario": scenario.to_dict(), "method": method.value},
-    )
-    if args.out is None:
-        sys.stdout.write("rate,outage\n")
-        for r, e in zip(rates, eps):
-            sys.stdout.write(f"{r:.17g},{e:.17g}\n")
-    else:
-        report.write_csv(dataset, args.out)
+    _emit_csv({"rate": rates, "outage": eps}, args.out)
     return 0
 
 
@@ -210,19 +207,7 @@ def _cmd_mc(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     result = montecarlo.run(config, workers=args.workers)
-    dataset = report.FigureDataset(
-        report.FigureId.SCHEME_COMPARISON,
-        {"capacity": result.per_slow_capacity},
-        {"figure_id": report.FigureId.SCHEME_COMPARISON.value,
-         "scenario": scenario.to_dict(),
-         "mc": {"slow": slow, "fast": fast, "seed": seed}},
-    )
-    if args.out is None:
-        sys.stdout.write("capacity\n")
-        for c in result.per_slow_capacity:
-            sys.stdout.write(f"{c:.17g}\n")
-    else:
-        report.write_csv(dataset, args.out)
+    _emit_csv({"capacity": result.per_slow_capacity}, args.out)
     return 0
 
 
@@ -246,7 +231,7 @@ def _cmd_figure(args) -> int:
         raise CliError(str(exc)) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, fid.value)
-    report.write_csv(dataset, base + ".csv")
+    report.write_csv(dataset.columns, base + ".csv")
     report.write_json(dataset, base + ".json")
     print(base + ".csv")
     print(base + ".json")

@@ -8,6 +8,7 @@ block series with Wynn's epsilon acceleration.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -15,49 +16,22 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-__all__ = [
-    "AccuracyWarning",
-    "HankelParams",
-    "hankel_transform",
-    "PhasorSumDistribution",
-    "phasor_pdf",
-    "phasor_cdf",
-]
+__all__ = ["AccuracyWarning", "hankel_transform", "PhasorSumDistribution"]
 
 
 class AccuracyWarning(UserWarning):
     """Raised when the quadrature tail has not decayed below its budget."""
 
 
-@dataclass(frozen=True)
-class HankelParams:
-    """Quadrature controls for the transform.
-
-    node_count caps the number of oscillation blocks; step_h scales the
-    convergence thresholds (block refinement stops at 2e-11*step_h, the
-    accelerated tail at 2e-9*step_h).
-    """
-
-    node_count: int = 200
-    step_h: float = 0.005
-    order: int = 0
-
-    def __post_init__(self):
-        if self.node_count < 16:
-            raise ValueError(f"node_count must be >= 16, got {self.node_count}")
-        if not 0.0 < self.step_h < 1.0:
-            raise ValueError(f"step_h must be in (0, 1), got {self.step_h}")
-        if self.order not in (0, 1):
-            raise ValueError(f"order must be 0 or 1, got {self.order}")
+# Quadrature budget: at most _NODE_COUNT oscillation blocks; block
+# refinement stops at 2e-11*_STEP_H, the accelerated tail at 2e-9*_STEP_H.
+_NODE_COUNT = 200
+_STEP_H = 0.005
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _wynn_epsilon(partial_sums: np.ndarray) -> float:
@@ -109,29 +83,22 @@ def _block_integrals(g: Callable, edges: np.ndarray, tol: float) -> np.ndarray:
         order *= 2
 
 
-def hankel_transform(
-    f: Callable,
-    order: int,
-    s: float,
-    params: HankelParams | None = None,
-) -> float:
+def hankel_transform(f: Callable, order: int, s: float) -> float:
     """Hankel transform of order 0 or 1: integral of f(t)*J_order(s*t)*t dt
     over (0, inf), for s > 0."""
     if order not in (0, 1):
         raise ValueError(f"order must be 0 or 1, got {order}")
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if params is None:
-        params = HankelParams(order=order)
     kernel = special.j1 if order == 1 else special.j0
 
     def g(t):
         return f(t) * kernel(s * t) * t
 
-    block_tol = 2e-11 * params.step_h
-    tail_tol = 2e-9 * params.step_h
+    block_tol = 2e-11 * _STEP_H
+    tail_tol = 2e-9 * _STEP_H
     delta = np.pi / max(1.0, s)
-    max_blocks = params.node_count
+    max_blocks = _NODE_COUNT
     sums = np.empty(max_blocks)
     total, scale, k = 0.0, 0.0, 0
     last_term = np.inf
@@ -155,7 +122,7 @@ def hankel_transform(
     if last_term > 1e-8 * max(1e-300, abs(result)):
         warnings.warn(
             f"Hankel quadrature tail has not decayed (last term {last_term:.2e} "
-            f"vs result {result:.2e}); increase node_count",
+            f"vs result {result:.2e}) after {max_blocks} blocks",
             AccuracyWarning,
             stacklevel=2,
         )
@@ -184,7 +151,6 @@ class PhasorSumDistribution:
     """
 
     n_links: int
-    params: HankelParams = HankelParams()
 
     def __post_init__(self):
         if self.n_links < 1:
@@ -201,7 +167,7 @@ class PhasorSumDistribution:
             return 0.0
         if s == 0.0 or s == self.n_links:
             return 0.0 if self.n_links > 2 else np.inf if s > 0 else 0.0
-        val = s * hankel_transform(_j0_power(self.n_links), 0, s, self.params)
+        val = s * hankel_transform(_j0_power(self.n_links), 0, s)
         if val < -1e-9:
             warnings.warn(
                 f"phasor pdf markedly negative ({val:.2e}) at s={s}",
@@ -220,13 +186,6 @@ class PhasorSumDistribution:
         if s == self.n_links:
             return 1.0
         f = _j0_power(self.n_links)
-        val = s * hankel_transform(lambda t: f(t) / t, 1, s, self.params)
+        val = s * hankel_transform(lambda t: f(t) / t, 1, s)
         return min(1.0, max(0.0, val))
 
-
-def phasor_pdf(dist: PhasorSumDistribution, s: float) -> float:
-    return dist.pdf(s)
-
-
-def phasor_cdf(dist: PhasorSumDistribution, s: float) -> float:
-    return dist.cdf(s)

@@ -8,21 +8,13 @@ SNR (transmit power and noise are normalized away).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import DiscreteDistribution, binomial, poisson_binomial
 
-__all__ = [
-    "Scheme",
-    "Scenario",
-    "SlowRealization",
-    "CurveKind",
-    "OutageCurve",
-    "effective_channel",
-    "instantaneous_capacity",
-]
+__all__ = ["Scheme", "Scenario", "symbol_capacity"]
 
 
 class Scheme(enum.Enum):
@@ -114,73 +106,21 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
-class SlowRealization:
-    """One draw of the slow-fading state: link availabilities and the
-    channel phases that stay constant over a codeword."""
+def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
+    """Capacity log2(1+|h|^2) in bits of each symbol, one per row of theta.
 
-    c: np.ndarray
-    phi_tilde: np.ndarray
-    phi_los: float = 0.0
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        phi = np.asarray(self.phi_tilde, dtype=float)
-        if c.shape != phi.shape or c.ndim != 1:
-            raise ValueError("c and phi_tilde must be 1-d vectors of equal length")
-        if np.any((phi < 0) | (phi >= 2 * np.pi)):
-            raise ValueError("phases must lie in [0, 2*pi)")
-        if not 0.0 <= self.phi_los < 2 * np.pi:
-            raise ValueError(f"phi_los must lie in [0, 2*pi), got {self.phi_los}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "phi_tilde", phi)
-
-    @property
-    def n_avail(self) -> int:
-        return int(np.count_nonzero(self.c))
-
-
-class CurveKind(enum.Enum):
-    ANALYTIC_STEP_MIXTURE = "analytic-step-mixture"
-    ANALYTIC_SMOOTH = "analytic-smooth"
-    MC_ECDF = "mc-ecdf"
-
-
-@dataclass(frozen=True)
-class OutageCurve:
-    """Outage probability sampled on a sorted rate grid."""
-
-    rates: np.ndarray
-    eps: np.ndarray
-    kind: CurveKind = CurveKind.ANALYTIC_STEP_MIXTURE
-
-    def __post_init__(self):
-        r = np.asarray(self.rates, dtype=float)
-        e = np.asarray(self.eps, dtype=float)
-        if r.shape != e.shape or r.ndim != 1:
-            raise ValueError("rates and eps must be 1-d vectors of equal length")
-        if np.any(np.diff(r) < 0):
-            raise ValueError("rates must be sorted ascending")
-        if np.any((e < -1e-12) | (e > 1 + 1e-12)):
-            raise ValueError("outage probabilities must lie in [0, 1]")
-        if np.any(np.diff(e) < -1e-9):
-            raise ValueError("outage must be nondecreasing in rate")
-        object.__setattr__(self, "rates", r)
-        object.__setattr__(self, "eps", np.clip(e, 0.0, 1.0))
-
-
-def effective_channel(slow: SlowRealization, theta, a: float) -> complex:
-    """Effective channel a*exp(j*phi_los) + sum_i c_i*exp(j*(phi_tilde_i+theta_i))."""
+    h = los + sum_i exp(j*(phi_i + theta_i)) is the effective channel over
+    the k active links: phi holds their k channel phases, theta an m x k
+    array of per-symbol surface phases and los the LOS phasor
+    a*exp(j*phi_0).
+    """
+    phi = np.asarray(phi, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != slow.phi_tilde.shape:
+    if phi.ndim != 1 or theta.ndim != 2 or theta.shape[1] != phi.size:
         raise ValueError(
-            f"theta length {theta.size} does not match {slow.phi_tilde.size}"
+            f"theta of shape {theta.shape} does not match {phi.size} link phases"
         )
-    h = a * np.exp(1j * slow.phi_los)
-    h += np.sum(slow.c * np.exp(1j * (slow.phi_tilde + theta)))
-    return complex(h)
-
-
-def instantaneous_capacity(h: complex) -> float:
-    """Shannon capacity log2(1+|h|^2) of one symbol."""
-    return float(np.log2(1.0 + abs(h) ** 2))
+    ang = phi[None, :] + theta
+    re = los.real + np.cos(ang).sum(axis=1)
+    im = los.imag + np.sin(ang).sum(axis=1)
+    return np.log2(1.0 + re * re + im * im)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CurveKind, OutageCurve, Scenario, Scheme
+from .model import Scenario, Scheme, symbol_capacity
 
 __all__ = [
     "McConfig",
@@ -70,37 +70,29 @@ class McResult:
         counts = np.searchsorted(self._sorted, r, side="left")
         return counts / self._sorted.size
 
-    def ecdf(self, rates) -> OutageCurve:
-        r = np.sort(np.atleast_1d(np.asarray(rates, dtype=float)))
-        return OutageCurve(r, self.outage_at(r), CurveKind.MC_ECDF)
-
 
 def _slow_stream(seed: int, slow_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, slow_index]))
 
 
-def _capacity_one_slow(config: McConfig, slow_index: int) -> float:
+def _capacity_one_slow(config: McConfig, probs: np.ndarray, slow_index: int) -> float:
     sc = config.scenario
     rng = _slow_stream(config.seed, slow_index)
     n = sc.n_elements
     a = sc.los_amplitude
-    c = (rng.random(n) < sc.prob_vector).astype(float)
+    idx = np.flatnonzero(rng.random(n) < probs)
     phi = rng.random(n) * _TWO_PI
     phi_los = rng.random() * _TWO_PI
-    n_avail = int(c.sum())
 
     if sc.scheme is Scheme.PERFECT:
-        return float(np.log2(1.0 + (a + n_avail) ** 2))
-    if sc.scheme is Scheme.STATIC:
-        h = a * np.exp(1j * phi_los) + np.sum(c * np.exp(1j * phi))
-        return float(np.log2(1.0 + np.abs(h) ** 2))
-
-    los_re = a * np.cos(phi_los)
-    los_im = a * np.sin(phi_los)
-    idx = np.flatnonzero(c)
+        return float(np.log2(1.0 + (a + idx.size) ** 2))
     if idx.size == 0:
         return float(np.log2(1.0 + a * a))
     phi_act = phi[idx]
+    los = complex(a * np.cos(phi_los), a * np.sin(phi_los))
+    if sc.scheme is Scheme.STATIC:
+        return float(symbol_capacity(phi_act, np.zeros((1, idx.size)), los)[0])
+
     total = 0.0
     remaining = config.fast_samples
     while remaining > 0:
@@ -110,10 +102,7 @@ def _capacity_one_slow(config: McConfig, slow_index: int) -> float:
             theta = theta * (_TWO_PI / sc.quant_levels)
         else:
             theta = rng.random((m, idx.size)) * _TWO_PI
-        ang = phi_act[None, :] + theta
-        re = los_re + np.cos(ang).sum(axis=1)
-        im = los_im + np.sin(ang).sum(axis=1)
-        total += float(np.log2(1.0 + re * re + im * im).sum())
+        total += float(symbol_capacity(phi_act, theta, los).sum())
         remaining -= m
     return total / config.fast_samples
 
@@ -122,12 +111,14 @@ def run(config: McConfig, workers: int = 1) -> McResult:
     """Simulate all slow realizations; bit-identical for any worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    probs = config.scenario.prob_vector
     indices = range(config.slow_samples)
     if workers == 1:
-        caps = [_capacity_one_slow(config, k) for k in indices]
+        caps = [_capacity_one_slow(config, probs, k) for k in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            caps = list(pool.map(lambda k: _capacity_one_slow(config, k), indices))
+            caps = list(pool.map(lambda k: _capacity_one_slow(config, probs, k),
+                                 indices))
     return McResult(np.asarray(caps), config)
 
 

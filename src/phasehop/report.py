@@ -8,6 +8,7 @@ parameters unless overridden.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -17,8 +18,8 @@ from . import analytic, montecarlo
 from .analytic import CapacityMethod
 from .model import Scenario, Scheme
 
-__all__ = ["FigureId", "FigureDataset", "build_figure", "write_csv", "write_json",
-           "read_csv", "read_json"]
+__all__ = ["FigureId", "FigureDataset", "build_figure", "csv_lines", "write_csv",
+           "write_json", "read_csv", "read_json"]
 
 
 class FigureId(enum.Enum):
@@ -242,16 +243,21 @@ _BUILDERS = {
 }
 
 
-def write_csv(dataset: FigureDataset, path) -> None:
-    """Header row plus one line per grid point, 17 significant digits."""
-    names = list(dataset.columns)
+def csv_lines(columns: dict):
+    """Header line, then one line per row of the columns, 17 significant
+    digits. Raises ValueError at once if the columns differ in length."""
+    names = list(columns)
+    rows = np.column_stack([columns[n] for n in names]) if names else ()
+    body = (",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    return itertools.chain([",".join(names) + "\n"], body)
+
+
+def write_csv(columns: dict, path) -> None:
+    """Write name -> column as CSV (see csv_lines)."""
+    lines = csv_lines(columns)
     try:
         with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(names) + "\n")
-            if names:
-                mat = np.column_stack([dataset.columns[n] for n in names])
-                for row in mat:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -11,10 +11,6 @@ import numpy as np
 from scipy import optimize, special, stats
 
 __all__ = [
-    "bessel_j",
-    "bessel_i0",
-    "bessel_i0_scaled",
-    "exp_int_ei",
     "cal_e",
     "cal_e_inverse",
     "marcum_q1",
@@ -23,36 +19,6 @@ __all__ = [
     "poisson_binomial",
     "quantile",
 ]
-
-
-def bessel_j(order: int, x: float) -> float:
-    """Bessel function of the first kind, orders 0 and 1 only."""
-    if order == 0:
-        return float(special.j0(x))
-    if order == 1:
-        return float(special.j1(x))
-    raise ValueError(f"order must be 0 or 1, got {order}")
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function I0 for x >= 0."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(special.i0(x))
-
-
-def bessel_i0_scaled(x: float) -> float:
-    """exp(-x) * I0(x); overflow-safe form used in Rician integrands."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(special.i0e(x))
-
-
-def exp_int_ei(x: float) -> float:
-    """Exponential integral Ei(x) for x < 0, via Ei(-t) = -E1(t)."""
-    if x >= 0:
-        raise ValueError(f"x must be negative, got {x}")
-    return float(-special.exp1(-x))
 
 
 def _e1_scaled_cf(x: float, tol: float = 1e-16, maxiter: int = 1000) -> float:

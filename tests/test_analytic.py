@@ -90,6 +90,14 @@ class TestErgCapacityLos:
         assert erg_capacity_los(n, a) == pytest.approx(np.mean(caps), abs=0.02)
 
 
+    def test_exact_requires_nlos(self):
+        with pytest.raises(ValueError, match="a = 0 only"):
+            erg_capacity_los(6, 2.0, EXACT)
+        with pytest.raises(ValueError, match="a = 0 only"):
+            outage_hopping(Scenario(20, 0.5, 2.0), 3.0, EXACT)
+        assert erg_capacity_los(1, 0.0, EXACT) == 1.0
+
+
 class TestOutageHopping:
     def test_floor_value(self):
         assert outage_hopping(HOP20, 0.5) == pytest.approx(2.0 ** -20, rel=1e-9)

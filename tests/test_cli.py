@@ -35,6 +35,13 @@ class TestCapacity:
         assert code == 0
         assert float(out) == 0.0
 
+    def test_exact_with_los_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "capacity", "--links", "6", "--a", "2",
+                                 "--method", "exact")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestOutage:
     def test_perfect_at_one(self, capsys):

@@ -1,32 +1,12 @@
 import numpy as np
 import pytest
 
-from phasehop.hankel import (
-    HankelParams,
-    PhasorSumDistribution,
-    hankel_transform,
-    phasor_cdf,
-    phasor_pdf,
-)
+from phasehop.hankel import AccuracyWarning, PhasorSumDistribution, hankel_transform
 
 
-def two_phasor_pdf(s):
+def two_link_density(s):
     # |e^{j u1} + e^{j u2}| has the arcsine-type density 2 / (pi sqrt(4 - s^2))
     return 2.0 / (np.pi * np.sqrt(4.0 - s * s))
-
-
-class TestHankelParams:
-    def test_defaults(self):
-        p = HankelParams()
-        assert p.node_count == 200 and p.step_h == 0.005
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HankelParams(node_count=8)
-        with pytest.raises(ValueError):
-            HankelParams(step_h=1.5)
-        with pytest.raises(ValueError):
-            HankelParams(order=3)
 
 
 class TestHankelTransform:
@@ -42,7 +22,7 @@ class TestHankelTransform:
         from scipy.special import j0
 
         val = hankel_transform(lambda t: j0(t) ** 2, 0, 1.0)
-        assert val == pytest.approx(two_phasor_pdf(1.0), abs=1e-5)
+        assert val == pytest.approx(two_link_density(1.0), abs=1e-5)
 
     def test_order_one_pair(self):
         # H1 of e^{-t} is s / (1 + s^2)^{3/2}
@@ -70,7 +50,15 @@ class TestPhasorSumDistribution:
 
     def test_two_phasor_pdf(self):
         d = PhasorSumDistribution(2)
-        assert phasor_pdf(d, 1.0) == pytest.approx(two_phasor_pdf(1.0), abs=1e-4)
+        assert d.pdf(1.0) == pytest.approx(two_link_density(1.0), abs=1e-4)
+
+    def test_accuracy_warning_near_zero(self):
+        # the true density at s = 0.002 is 2 / (pi sqrt(4 - s^2)) ~ 0.318, but
+        # the quadrature returns about -1.04e-2: flagged, then clamped to 0
+        d = PhasorSumDistribution(2)
+        with pytest.warns(AccuracyWarning, match="markedly negative"):
+            val = d.pdf(0.002)
+        assert val == 0.0
 
     def test_edge_divergence_monotone(self):
         d = PhasorSumDistribution(2)
@@ -92,7 +80,7 @@ class TestPhasorSumDistribution:
 
     def test_two_phasor_cdf(self):
         d = PhasorSumDistribution(2)
-        assert phasor_cdf(d, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-3)
+        assert d.cdf(1.0) == pytest.approx(1.0 / 3.0, abs=1e-3)
 
     def test_full_support(self):
         d = PhasorSumDistribution(20)

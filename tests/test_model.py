@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from phasehop.model import (
-    CurveKind,
-    OutageCurve,
-    Scenario,
-    Scheme,
-    SlowRealization,
-    effective_channel,
-    instantaneous_capacity,
-)
+from phasehop.model import Scenario, Scheme, symbol_capacity
 
 
 class TestScenario:
@@ -53,80 +45,58 @@ class TestScenario:
             assert Scenario.from_dict(sc.to_dict()) == sc
 
 
-class TestSlowRealization:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SlowRealization(np.ones(3), np.zeros(2))
-        with pytest.raises(ValueError):
-            SlowRealization(np.ones(2), np.array([0.0, 7.0]))
-        with pytest.raises(ValueError):
-            SlowRealization(np.ones(2), np.zeros(2), phi_los=-0.1)
-
-    def test_n_avail(self):
-        slow = SlowRealization(np.array([1.0, 0.0, 1.0]), np.zeros(3))
-        assert slow.n_avail == 2
-
-
 class TestEffectiveChannel:
     def test_los_only(self):
-        slow = SlowRealization(np.zeros(4), np.zeros(4))
-        assert effective_channel(slow, np.zeros(4), 3.0) == pytest.approx(3.0)
+        cap = symbol_capacity(np.zeros(0), np.zeros((1, 0)), 3.0)
+        assert cap == pytest.approx([np.log2(10.0)])
 
     def test_destructive_pair(self):
-        slow = SlowRealization(np.ones(2), np.zeros(2))
-        h = effective_channel(slow, np.array([0.0, np.pi]), 0.0)
-        assert abs(h) == pytest.approx(0.0, abs=1e-15)
+        cap = symbol_capacity(np.zeros(2), np.array([[0.0, np.pi]]))
+        assert cap[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_perfect_alignment(self):
-        slow = SlowRealization(np.ones(2), np.array([0.3, 1.1]))
-        h = effective_channel(slow, np.array([-0.3, -1.1]), 0.0)
-        assert h == pytest.approx(2.0 + 0j, abs=1e-14)
+        cap = symbol_capacity(np.array([0.3, 1.1]), np.array([[-0.3, -1.1]]))
+        assert cap[0] == pytest.approx(np.log2(5.0), abs=1e-14)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(77)
         for _ in range(50):
-            n = rng.integers(1, 10)
-            c = (rng.random(n) < 0.6).astype(float)
-            phi = rng.uniform(0, 2 * np.pi, n)
-            los = float(rng.uniform(0, 2 * np.pi))
+            k = rng.integers(0, 10)
+            phi = rng.uniform(0, 2 * np.pi, k)
+            los_phase = float(rng.uniform(0, 2 * np.pi))
             a = float(rng.uniform(0, 4))
-            slow = SlowRealization(c, phi, los)
-            theta = rng.uniform(0, 2 * np.pi, n)
-            assert abs(effective_channel(slow, theta, a)) <= a + c.sum() + 1e-12
-            h = effective_channel(slow, np.mod(los - phi, 2 * np.pi), a)
-            assert abs(h) == pytest.approx(a + c.sum(), abs=1e-9)
+            los = a * np.exp(1j * los_phase)
+            bound = np.log2(1.0 + (a + k) ** 2)
+            theta = rng.uniform(0, 2 * np.pi, (20, k))
+            assert np.all(symbol_capacity(phi, theta, los) <= bound + 1e-12)
+            aligned = np.mod(los_phase - phi, 2 * np.pi)[None, :]
+            cap = symbol_capacity(phi, aligned, los)
+            assert cap[0] == pytest.approx(bound, abs=1e-9)
 
     def test_length_mismatch(self):
-        slow = SlowRealization(np.ones(2), np.zeros(2))
         with pytest.raises(ValueError):
-            effective_channel(slow, np.zeros(3), 0.0)
+            symbol_capacity(np.zeros(2), np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            symbol_capacity(np.zeros(2), np.zeros(2))
 
 
 class TestInstantaneousCapacity:
     def test_values(self):
-        assert instantaneous_capacity(0.0) == 0.0
-        assert instantaneous_capacity(1.0) == pytest.approx(1.0)
-        assert instantaneous_capacity(3.0) == pytest.approx(np.log2(10), abs=1e-12)
+        for los, want in ((0.0, 0.0), (1.0, 1.0), (3.0j, np.log2(10))):
+            cap = symbol_capacity(np.zeros(0), np.zeros((1, 0)), los)
+            assert cap[0] == pytest.approx(want, abs=1e-12)
 
     def test_increasing_in_magnitude(self):
-        mags = np.linspace(0, 5, 30)
-        caps = [instantaneous_capacity(m) for m in mags]
+        # |1 + exp(j*theta)| = 2|cos(theta/2)| grows as theta goes from pi to 0
+        theta = np.linspace(np.pi, 0.0, 30)[:, None]
+        caps = symbol_capacity(np.zeros(1), theta, 1.0)
         assert np.all(np.diff(caps) > 0)
 
-
-class TestOutageCurve:
-    def test_valid(self):
-        c = OutageCurve(np.array([0.0, 1.0]), np.array([0.1, 0.2]), CurveKind.MC_ECDF)
-        assert c.kind is CurveKind.MC_ECDF
-
-    def test_rejects_decreasing_eps(self):
-        with pytest.raises(ValueError):
-            OutageCurve(np.array([0.0, 1.0]), np.array([0.3, 0.2]))
-
-    def test_rejects_unsorted_rates(self):
-        with pytest.raises(ValueError):
-            OutageCurve(np.array([1.0, 0.0]), np.array([0.1, 0.2]))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            OutageCurve(np.array([0.0, 1.0]), np.array([0.1, 1.2]))
+    def test_rows_match_complex_sum(self):
+        rng = np.random.default_rng(3)
+        phi = rng.uniform(0, 2 * np.pi, 7)
+        theta = rng.uniform(0, 2 * np.pi, (40, 7))
+        los = 1.5 * np.exp(0.4j)
+        h = los + np.exp(1j * (phi + theta)).sum(axis=1)
+        np.testing.assert_allclose(symbol_capacity(phi, theta, los),
+                                   np.log2(1.0 + np.abs(h) ** 2), rtol=1e-13)

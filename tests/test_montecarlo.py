@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phasehop.analytic import outage_hopping, outage_static, CapacityMethod
-from phasehop.model import CurveKind, Scenario, Scheme
+from phasehop.model import Scenario, Scheme
 from phasehop.montecarlo import (
     McConfig,
     McResult,
@@ -102,12 +102,6 @@ class TestMcResult:
         assert res.outage_at(1.0)[0] == 0.0
         assert res.outage_at(1.0 + 1e-12)[0] == 0.5
         assert res.outage_at(10.0)[0] == 1.0
-
-    def test_ecdf_curve_kind(self):
-        res = McResult(np.array([0.5, 1.5]), McConfig(Scenario(2, 0.5), 2, 1))
-        curve = res.ecdf(np.linspace(0, 2, 5))
-        assert curve.kind is CurveKind.MC_ECDF
-        assert np.all(np.diff(curve.eps) >= 0)
 
 
 class TestQuantizedSumMoments:

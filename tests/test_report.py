@@ -67,29 +67,30 @@ class TestBuildFigure:
 class TestWriters:
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
-        ds = FigureDataset(
-            FigureId.SCHEME_COMPARISON,
-            {"x": rng.normal(size=20), "y": rng.uniform(1e-12, 1e12, 20)},
-        )
+        columns = {"x": rng.normal(size=20), "y": rng.uniform(1e-12, 1e12, 20)}
         path = tmp_path / "t.csv"
-        write_csv(ds, path)
+        write_csv(columns, path)
         cols = read_csv(path)
-        np.testing.assert_array_equal(cols["x"], ds.columns["x"])
-        np.testing.assert_array_equal(cols["y"], ds.columns["y"])
+        np.testing.assert_array_equal(cols["x"], columns["x"])
+        np.testing.assert_array_equal(cols["y"], columns["y"])
 
     def test_csv_lf_endings(self, tmp_path):
-        ds = FigureDataset(FigureId.SCHEME_COMPARISON, {"x": [1.0]})
         path = tmp_path / "t.csv"
-        write_csv(ds, path)
+        write_csv({"x": [1.0]}, path)
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.decode().splitlines()[0] == "x"
 
     def test_empty_dataset_header_only(self, tmp_path):
-        ds = FigureDataset(FigureId.SCHEME_COMPARISON, {"x": [], "y": []})
         path = tmp_path / "t.csv"
-        write_csv(ds, path)
+        write_csv({"x": [], "y": []}, path)
         assert path.read_text() == "x,y\n"
+
+    def test_unequal_columns_write_nothing(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv({"a": [1.0, 2.0], "b": [1.0]}, path)
+        assert not path.exists()
 
     def test_json_round_trip(self, tmp_path):
         ds = build_figure(FigureId.SCHEME_COMPARISON, {"points": 10})
@@ -111,6 +112,5 @@ class TestWriters:
             np.testing.assert_array_equal(again.columns[name], ds.columns[name])
 
     def test_write_error_context(self):
-        ds = FigureDataset(FigureId.SCHEME_COMPARISON, {"x": [1.0]})
         with pytest.raises(OSError, match="no/such/dir"):
-            write_csv(ds, "/no/such/dir/file.csv")
+            write_csv({"x": [1.0]}, "/no/such/dir/file.csv")

@@ -3,84 +3,13 @@ import pytest
 
 from phasehop.specfun import (
     DiscreteDistribution,
-    bessel_i0,
-    bessel_i0_scaled,
-    bessel_j,
     binomial,
     cal_e,
     cal_e_inverse,
-    exp_int_ei,
     marcum_q1,
     poisson_binomial,
     quantile,
 )
-
-
-class TestBesselJ:
-    def test_j0_at_zero(self):
-        assert bessel_j(0, 0.0) == 1.0
-
-    def test_j1_at_zero(self):
-        assert bessel_j(1, 0.0) == 0.0
-
-    def test_first_j0_zero(self):
-        # root isolated by bisection on the ascending power series
-        assert abs(bessel_j(0, 2.404825557695773)) < 1e-10
-
-    def test_bounds(self):
-        rng = np.random.default_rng(11)
-        for x in rng.uniform(-50, 50, 200):
-            assert abs(bessel_j(0, x)) <= 1.0
-            assert abs(bessel_j(1, x)) <= 1.0 / np.sqrt(2) + 1e-12
-
-    def test_parity(self):
-        for x in (0.7, 3.1, 12.0):
-            assert bessel_j(0, -x) == pytest.approx(bessel_j(0, x), abs=1e-14)
-            assert bessel_j(1, -x) == pytest.approx(-bessel_j(1, x), abs=1e-14)
-
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            bessel_j(2, 1.0)
-
-
-class TestBesselI0:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == 1.0
-
-    def test_series_values(self):
-        # power series sum (x/2)^{2k} / (k!)^2 evaluated in high precision
-        assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, abs=1e-12)
-        assert bessel_i0(10.0) == pytest.approx(2815.716628466254, rel=1e-8)
-
-    def test_scaled_consistency(self):
-        for x in (0.3, 2.0, 50.0, 700.0):
-            assert bessel_i0_scaled(x) == pytest.approx(
-                np.exp(-min(x, 700)) * bessel_i0(min(x, 700)), rel=1e-10
-            )
-
-    def test_scaled_no_overflow(self):
-        assert np.isfinite(bessel_i0_scaled(1e6))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i0(-1.0)
-
-
-class TestExpIntEi:
-    def test_values(self):
-        assert exp_int_ei(-1.0) == pytest.approx(-0.21938393439552029, abs=1e-12)
-        assert exp_int_ei(-0.5) == pytest.approx(-0.5597735947761607, abs=1e-12)
-
-    def test_deep_tail(self):
-        v = exp_int_ei(-50.0)
-        assert v < 0
-        assert abs(v) < 1e-23
-
-    def test_nonnegative_rejected(self):
-        with pytest.raises(ValueError):
-            exp_int_ei(0.0)
-        with pytest.raises(ValueError):
-            exp_int_ei(1.0)
 
 
 class TestCalE:
