@@ -4,6 +4,12 @@ Covers the ergodic capacity under phase hopping (exact via the phasor-sum
 law and approximate via the exponential integral), the outage mixtures
 over the random link count for all four schemes, eps-outage capacities,
 and the general-fading outage approximation.
+
+Outage and eps-capacity take a float or an array of rates (or eps) and
+return a float or an array of the same shape, by one code path. A NaN or
+negative rate raises ValueError; a rate too large for 2^R is an outage.
+Outage is Pr(C < R): a rate on a capacity plateau is not an outage,
+except as outage_perfect states.
 """
 from __future__ import annotations
 
@@ -112,46 +118,51 @@ def erg_capacity_los(
     n_avail: int, a: float, method: CapacityMethod = CapacityMethod.APPROX_EI
 ) -> float:
     """Ergodic capacity in bits under phase hopping with a LOS component of
-    amplitude a, averaging the noncentral chi-square gain law. The exact
-    method is available for a = 0 only, where it is the NLOS capacity."""
+    amplitude a, averaging the noncentral chi-square gain law. At a = 0 it
+    is erg_capacity_nlos; the exact method is available for a = 0 only."""
     if n_avail < 0:
         raise ValueError(f"n_avail must be >= 0, got {n_avail}")
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
-    if method is CapacityMethod.EXACT_HANKEL:
-        if a != 0.0:
-            raise ValueError("exact ergodic capacity is available for a = 0 only")
+    if a == 0.0:
         return erg_capacity_nlos(n_avail, method)
+    if method is CapacityMethod.EXACT_HANKEL:
+        raise ValueError("exact ergodic capacity is available for a = 0 only")
     return _capacity_los(int(n_avail), float(a))
 
 
-def _erg_capacity(i: int, a: float, method: CapacityMethod) -> float:
-    if a == 0.0:
-        return erg_capacity_nlos(i, method)
-    return erg_capacity_los(i, a, method)
+@functools.lru_cache(maxsize=256)
+def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
+    """Read-only ergodic capacities C(0), ..., C(n), strictly increasing."""
+    table = np.array([erg_capacity_los(i, a, method) for i in range(n + 1)])
+    table.setflags(write=False)
+    return table
 
 
-def _count_below(rate: float, n: int, a: float, method: CapacityMethod) -> int:
-    """Number of link counts i in {0..n} with C_erg(i) < rate, found by
-    bisection on the strictly increasing capacity sequence."""
-    if not _erg_capacity(0, a, method) < rate:
-        return 0
-    if _erg_capacity(n, a, method) < rate:
-        return n + 1
-    lo, hi = 0, n  # C(lo) < rate <= C(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _erg_capacity(mid, a, method) < rate:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def _checked(values, name: str) -> np.ndarray:
+    """values as a float array of at least one dimension; NaN or negative
+    entries raise ValueError."""
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(x >= 0.0):
+        raise ValueError(f"{name} must be a number >= 0, got {values}")
+    return x
+
+
+def _like(result: np.ndarray, values):
+    """A float if the input values were a scalar, else the array result."""
+    return float(result[0]) if np.ndim(values) == 0 else result
+
+
+def _snr(rates: np.ndarray) -> np.ndarray:
+    """2^R - 1, infinite where 2^R overflows."""
+    with np.errstate(over="ignore"):
+        return np.power(2.0, rates) - 1.0
 
 
 def outage_hopping(
-    scenario: Scenario, rate: float, method: CapacityMethod = CapacityMethod.APPROX_EI
-) -> float:
-    """Outage probability under (quantized) phase hopping at the given rate.
+    scenario: Scenario, rate, method: CapacityMethod = CapacityMethod.APPROX_EI
+):
+    """Outage probability under (quantized) phase hopping at each rate.
 
     Mixture of unit steps at the per-link-count ergodic capacities, weighted
     by the link-count law; strict-inequality convention, so a rate exactly
@@ -160,49 +171,57 @@ def outage_hopping(
     """
     if scenario.scheme not in (Scheme.HOPPING, Scheme.QUANTIZED):
         raise ValueError(f"scheme must be hopping or quantized, got {scenario.scheme}")
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    dist = scenario.link_count_distribution()
-    k = _count_below(rate, scenario.n_elements, scenario.los_amplitude, method)
-    if k == 0:
-        return 0.0
-    return float(dist.cdf[k - 1])
+    r = _checked(rate, "rate")
+    caps = _capacity_table(scenario.n_elements, scenario.los_amplitude, method)
+    cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
+    # searchsorted counts the link numbers whose capacity lies below r
+    return _like(cdf0[np.searchsorted(caps, r, "left")], rate)
 
 
 def eps_capacity(
-    scenario: Scenario, eps: float, method: CapacityMethod = CapacityMethod.APPROX_EI
-) -> float:
-    """eps-outage capacity: the largest rate whose outage does not exceed eps."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
+    scenario: Scenario, eps, method: CapacityMethod = CapacityMethod.APPROX_EI
+):
+    """eps-outage capacity at each eps: the largest rate whose outage does
+    not exceed eps."""
+    e = np.atleast_1d(np.asarray(eps, dtype=float))
     dist = scenario.link_count_distribution()
+    k = np.minimum(quantile(dist, e), dist.support_max)
     a = scenario.los_amplitude
     if scenario.scheme in (Scheme.HOPPING, Scheme.QUANTIZED):
-        k = quantile(dist, eps)
-        return _erg_capacity(k, a, method)
+        return _like(_capacity_table(dist.support_max, a, method)[k], eps)
     if scenario.scheme is Scheme.PERFECT:
         if a != 0.0:
             raise ValueError("perfect-adjustment outage is defined for a = 0 only")
-        k = quantile(dist, eps)
-        return float(np.log2(1.0 + k * k))
-    # static: invert the continuous outage curve
+        return _like(np.log2(1.0 + k * k), eps)
+    # static: invert the continuous outage curve, one root search per eps
     r_max = float(np.log2(1.0 + (a + scenario.n_elements) ** 2))
-    if outage_static(scenario, r_max, method) <= eps:
-        return r_max
     lo = 1e-12
-    if outage_static(scenario, lo, method) > eps:
-        return 0.0
-    return float(
-        optimize.brentq(
-            lambda r: outage_static(scenario, r, method) - eps, lo, r_max, xtol=1e-10
-        )
-    )
+    top, bottom = outage_static(scenario, np.array([r_max, lo]), method)
+    out = np.where(top <= e, r_max, 0.0)
+    inside = (top > e) & (bottom <= e)
+    out[inside] = [optimize.brentq(lambda r: outage_static(scenario, r, method) - t,
+                                   lo, r_max, xtol=1e-10) for t in e[inside]]
+    return _like(out, eps)
 
 
-def outage_static_fixed(
-    n_avail: int, rate: float, a: float, mode: CapacityMethod
-) -> float:
-    """Outage with static phases conditioned on n_avail >= 1 active links.
+def _static_fixed(n_avail: int, snr: np.ndarray, a: float, mode: CapacityMethod):
+    if mode is CapacityMethod.EXACT_HANKEL:
+        if a != 0.0:
+            raise ValueError("exact static outage is available for a = 0 only")
+        s = np.sqrt(snr)
+        out = (s >= n_avail).astype(float)
+        inside = (s > 0.0) & (s < n_avail)
+        dist = PhasorSumDistribution(n_avail)
+        out[inside] = [dist.cdf(float(x)) for x in s[inside]]
+        return out
+    if a == 0.0:
+        return 1.0 - np.exp(-snr / n_avail)
+    return 1.0 - marcum_q1(np.sqrt(2.0 * a * a / n_avail), np.sqrt(2.0 * snr / n_avail))
+
+
+def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
+    """Outage at each rate with static phases, conditioned on n_avail >= 1
+    active links.
 
     Exact mode evaluates the phasor-sum cdf at sqrt(2^R - 1) and requires
     a = 0; approximate mode uses the exponential (NLOS) or Marcum-Q (LOS)
@@ -210,60 +229,44 @@ def outage_static_fixed(
     """
     if n_avail < 1:
         raise ValueError(f"n_avail must be >= 1, got {n_avail}")
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    snr = 2.0 ** rate - 1.0
-    if mode is CapacityMethod.EXACT_HANKEL:
-        if a != 0.0:
-            raise ValueError("exact static outage is available for a = 0 only")
-        s = np.sqrt(snr)
-        if s >= n_avail:
-            return 1.0
-        if s == 0.0:
-            return 0.0
-        return PhasorSumDistribution(n_avail).cdf(float(s))
-    if a == 0.0:
-        return float(1.0 - np.exp(-snr / n_avail))
-    return float(
-        1.0 - marcum_q1(np.sqrt(2.0 * a * a / n_avail), np.sqrt(2.0 * snr / n_avail))
-    )
+    return _like(_static_fixed(n_avail, _snr(_checked(rate, "rate")), a, mode), rate)
 
 
 def outage_static(
-    scenario: Scenario, rate: float, mode: CapacityMethod = CapacityMethod.APPROX_EI
-) -> float:
-    """Outage with static phases, averaged over the link-count law.
+    scenario: Scenario, rate, mode: CapacityMethod = CapacityMethod.APPROX_EI
+):
+    """Outage at each rate with static phases, averaged over the link-count
+    law.
 
     The zero-link term is the deterministic LOS-only channel, an outage
     exactly when rate exceeds log2(1+a^2) (strict).
     """
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
+    r = _checked(rate, "rate")
     dist = scenario.link_count_distribution()
     a = scenario.los_amplitude
-    total = float(dist.pmf[0]) if rate > np.log2(1.0 + a * a) else 0.0
+    snr = _snr(r)
+    total = np.where(r > np.log2(1.0 + a * a), dist.pmf[0], 0.0)
     for i in range(1, dist.support_max + 1):
-        w = float(dist.pmf[i])
+        w = dist.pmf[i]
         if w == 0.0:
             continue
-        total += w * outage_static_fixed(i, rate, a, mode)
-    return min(1.0, total)
+        total = total + w * _static_fixed(i, snr, a, mode)
+    return _like(np.minimum(1.0, total), rate)
 
 
-def outage_perfect(scenario: Scenario, rate: float) -> float:
-    """Outage with perfect phase adjustment (NLOS): the link-count cdf at
-    floor(sqrt(2^R - 1)), since |H| = n_avail when all phasors align."""
+def outage_perfect(scenario: Scenario, rate):
+    """Outage at each rate with perfect phase adjustment (NLOS): the
+    link-count cdf at floor(sqrt(2^R - 1)), since |H| = n_avail when all
+    phasors align. At a plateau R = log2(1+k^2) this counts k links as an
+    outage whenever 2^R - 1 rounds to k^2 or above."""
     if scenario.los_amplitude != 0.0:
         raise ValueError("perfect-adjustment outage is defined for a = 0 only")
-    if rate < 0:
-        raise ValueError(f"rate must be >= 0, got {rate}")
-    if rate == 0.0:
-        return 0.0  # capacities are nonnegative, never strictly below 0
-    dist = scenario.link_count_distribution()
-    k = int(np.floor(np.sqrt(2.0 ** rate - 1.0)))
-    if k >= dist.support_max:
-        return 1.0
-    return float(dist.cdf[k])
+    r = _checked(rate, "rate")
+    cdf = scenario.link_count_distribution().cdf
+    k = np.minimum(np.floor(np.sqrt(_snr(r))), cdf.size - 1).astype(int)
+    out = np.append(cdf[:-1], 1.0)[k]  # every count k >= n is at or below R
+    # capacities are nonnegative, never strictly below 0
+    return _like(np.where(r == 0.0, 0.0, out), rate)
 
 
 @dataclass(frozen=True)

@@ -116,10 +116,6 @@ def _method(args, cfg=None) -> CapacityMethod:
     return CapacityMethod(name)
 
 
-def _print_prob(value: float):
-    print(f"{value:.5e}")
-
-
 def _print_rate(value: float):
     print(f"{value:.4f}")
 
@@ -146,13 +142,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser, with_scheme=True):
 
 
 def _cmd_capacity(args) -> int:
-    method = _method(args)
     a = args.a if args.a is not None else 0.0
-    if a == 0.0:
-        value = analytic.erg_capacity_nlos(args.links, method)
-    else:
-        value = analytic.erg_capacity_los(args.links, a, method)
-    _print_rate(value)
+    _print_rate(analytic.erg_capacity_los(args.links, a, _method(args)))
     return 0
 
 
@@ -169,23 +160,22 @@ def _rate_points(args) -> np.ndarray:
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-def _outage_value(scenario: Scenario, rate: float, method: CapacityMethod) -> float:
+def _outage(scenario: Scenario, rates: np.ndarray, method: CapacityMethod):
     if scenario.scheme in (Scheme.HOPPING, Scheme.QUANTIZED):
-        return analytic.outage_hopping(scenario, rate, method)
+        return analytic.outage_hopping(scenario, rates, method)
     if scenario.scheme is Scheme.STATIC:
-        return analytic.outage_static(scenario, rate, method)
-    return analytic.outage_perfect(scenario, rate)
+        return analytic.outage_static(scenario, rates, method)
+    return analytic.outage_perfect(scenario, rates)
 
 
 def _cmd_outage(args) -> int:
     scenario, cfg = _merged_scenario(args)
-    method = _method(args, cfg)
     rates = _rate_points(args)
-    eps = [_outage_value(scenario, float(r), method) for r in rates]
+    outage = _outage(scenario, rates, _method(args, cfg))
     if rates.size == 1 and args.out is None:
-        _print_prob(eps[0])
+        print(f"{outage[0]:.5e}")
         return 0
-    _emit_csv({"rate": rates, "outage": eps}, args.out)
+    _emit_csv({"rate": rates, "outage": outage}, args.out)
     return 0
 
 

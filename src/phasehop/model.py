@@ -8,6 +8,7 @@ SNR (transmit power and noise are normalized away).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,11 @@ class Scenario:
         return bool(np.all(p == p[0]))
 
     def link_count_distribution(self) -> DiscreteDistribution:
-        """Law of the number of available links."""
+        """Law of the number of available links, computed once per scenario."""
+        return self._link_law
+
+    @functools.cached_property
+    def _link_law(self) -> DiscreteDistribution:
         p = self.prob_vector
         if self.is_homogeneous:
             return binomial(self.n_elements, float(p[0]))

@@ -90,11 +90,6 @@ def _rate_grid(n: int, points: int) -> np.ndarray:
     return np.linspace(0.0, top, points)
 
 
-def _hopping_curve(n, p, a, rates):
-    sc = Scenario(n, p, a, Scheme.HOPPING)
-    return np.array([analytic.outage_hopping(sc, float(r)) for r in rates])
-
-
 def build_figure(figure_id: FigureId, overrides: dict | None = None) -> FigureDataset:
     """Evaluate one figure's dataset at its original defaults, with the
     given parameter overrides applied."""
@@ -146,8 +141,8 @@ def _build_out_hopping(p, a):
     rates = _rate_grid(p["n"], p["points"])
     cols = {"rate": rates}
     for prob in p["p_values"]:
-        cols[f"analytic_p{prob:g}"] = _hopping_curve(p["n"], prob, a, rates)
         sc = Scenario(p["n"], prob, a, Scheme.HOPPING)
+        cols[f"analytic_p{prob:g}"] = analytic.outage_hopping(sc, rates)
         cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
         cols[f"mc_p{prob:g}"] = montecarlo.run(cfg).outage_at(rates)
     return cols
@@ -158,9 +153,7 @@ def _build_eps_cap_nlos(p):
     cols = {"eps": eps}
     for prob in p["p_values"]:
         sc = Scenario(p["n"], prob, 0.0, Scheme.HOPPING)
-        cols[f"rate_p{prob:g}"] = [
-            analytic.eps_capacity(sc, float(e)) for e in eps
-        ]
+        cols[f"rate_p{prob:g}"] = analytic.eps_capacity(sc, eps)
     return cols
 
 
@@ -170,7 +163,7 @@ def _build_out_quantized(p):
     cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
     return {
         "rate": rates,
-        "analytic": _hopping_curve(p["n"], p["p"], 0.0, rates),
+        "analytic": analytic.outage_hopping(sc, rates),
         "mc_quantized": montecarlo.run(cfg).outage_at(rates),
     }
 
@@ -193,9 +186,7 @@ def _build_static_nlos(p):
     cols = {"rate": rates}
     for prob in p["p_values"]:
         sc = Scenario(p["n"], prob, 0.0, Scheme.STATIC)
-        cols[f"approx_p{prob:g}"] = [
-            analytic.outage_static(sc, float(r)) for r in rates
-        ]
+        cols[f"approx_p{prob:g}"] = analytic.outage_static(sc, rates)
         cfg = montecarlo.McConfig(sc, p["samples"], 1, p["seed"])
         cols[f"mc_p{prob:g}"] = montecarlo.run(cfg).outage_at(rates)
     return cols
@@ -208,9 +199,9 @@ def _build_scheme_comparison(p):
     perfect = Scenario(p["n"], p["p"], 0.0, Scheme.PERFECT)
     return {
         "rate": rates,
-        "hopping": _hopping_curve(p["n"], p["p"], 0.0, rates),
-        "static": [analytic.outage_static(static, float(r)) for r in rates],
-        "perfect": [analytic.outage_perfect(perfect, float(r)) for r in rates],
+        "hopping": analytic.outage_hopping(hop, rates),
+        "static": analytic.outage_static(static, rates),
+        "perfect": analytic.outage_perfect(perfect, rates),
     }
 
 

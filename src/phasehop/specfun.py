@@ -1,4 +1,4 @@
-"""Scalar special functions and discrete distributions of the link count.
+"""Special functions and discrete distributions of the link count.
 
 Everything here is a pure function of its arguments; the heavy lifting is
 delegated to scipy where a well-tested routine exists.
@@ -70,34 +70,41 @@ def cal_e_inverse(y: float) -> float:
     return float(optimize.brentq(lambda x: cal_e(x) - y, lo, hi, xtol=1e-14))
 
 
-def marcum_q1(a: float, b: float) -> float:
-    """Marcum Q1(a, b) = Pr(X > b^2), X ~ noncentral chi^2(2 dof, nc=a^2)."""
-    if a < 0 or b < 0:
+def marcum_q1(a, b):
+    """Marcum Q1(a, b) = Pr(X > b^2), X ~ noncentral chi^2(2 dof, nc=a^2).
+
+    a and b broadcast; a float for scalar arguments, else an array."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if (a < 0).any() or (b < 0).any():
         raise ValueError(f"arguments must be nonnegative, got a={a}, b={b}")
-    if b == 0:
-        return 1.0
-    if a == 0:
-        return float(np.exp(-0.5 * b * b))
-    return float(min(1.0, max(0.0, stats.ncx2.sf(b * b, 2, a * a))))
+    b2 = b * b
+    q = np.where(a == 0, np.exp(-0.5 * b2), stats.ncx2.sf(b2, 2, a * a).clip(0.0, 1.0))
+    q = np.where(b == 0, 1.0, q)
+    return float(q) if q.ndim == 0 else q
 
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Distribution of a nonnegative integer on {0, ..., support_max}."""
+    """Distribution of a nonnegative integer on {0, ..., support_max}.
+
+    pmf and cdf are read-only copies, so a shared law cannot be altered."""
 
     pmf: np.ndarray
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pmf = np.asarray(self.pmf, dtype=float)
+        pmf = np.array(self.pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ValueError("pmf must be a nonempty 1-d vector")
         if np.any(pmf < -1e-15) or np.any(pmf > 1 + 1e-12):
             raise ValueError("pmf entries must lie in [0, 1]")
         if abs(pmf.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1, got {pmf.sum()!r}")
+        cdf = np.minimum(np.cumsum(pmf), 1.0)
+        for table in (pmf, cdf):
+            table.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "cdf", np.minimum(np.cumsum(pmf), 1.0))
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def support_max(self) -> int:
@@ -139,8 +146,11 @@ def poisson_binomial(p_vec) -> DiscreteDistribution:
     return DiscreteDistribution(pmf)
 
 
-def quantile(dist: DiscreteDistribution, eps: float) -> int:
-    """Smallest k with cdf[k] > eps (strict, matching the outage convention)."""
-    if not 0.0 <= eps < 1.0:
+def quantile(dist: DiscreteDistribution, eps):
+    """Smallest k with cdf[k] > eps (strict, matching the outage convention),
+    for each eps: an int for a scalar eps, else an integer array."""
+    e = np.asarray(eps, dtype=float)
+    if not np.all((e >= 0.0) & (e < 1.0)):
         raise ValueError(f"eps must be in [0, 1), got {eps}")
-    return int(np.searchsorted(dist.cdf, eps, side="right"))
+    k = np.searchsorted(dist.cdf, e, side="right")
+    return int(k) if e.ndim == 0 else k

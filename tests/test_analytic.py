@@ -23,6 +23,8 @@ APPROX = CapacityMethod.APPROX_EI
 HOP20 = Scenario(20, 0.5)
 STATIC20 = Scenario(20, 0.5, scheme=Scheme.STATIC)
 PERFECT20 = Scenario(20, 0.5, scheme=Scheme.PERFECT)
+OUTAGE = {Scheme.HOPPING: outage_hopping, Scheme.QUANTIZED: outage_hopping,
+          Scheme.STATIC: outage_static, Scheme.PERFECT: outage_perfect}
 
 
 class TestErgCapacityNlos:
@@ -64,9 +66,13 @@ class TestErgCapacityLos:
         assert erg_capacity_los(0, 3.0) == pytest.approx(np.log2(10), abs=1e-12)
 
     def test_nlos_reduction(self):
+        # a = 0 is the closed form itself; the quadrature at a small a > 0
+        # stays within its 1e-10 error budget of it (measured <= 1.1e-11
+        # for n <= 100 at a = 1e-6)
         for n in (1, 4, 12):
-            assert erg_capacity_los(n, 0.0) == pytest.approx(
-                erg_capacity_nlos(n, APPROX), abs=1e-6
+            assert erg_capacity_los(n, 0.0) == erg_capacity_nlos(n, APPROX)
+            assert erg_capacity_los(n, 1e-6) == pytest.approx(
+                erg_capacity_nlos(n, APPROX), abs=1e-10
             )
 
     def test_monotone_in_n_and_a(self):
@@ -239,6 +245,40 @@ class TestOutagePerfect:
     def test_rejects_los(self):
         with pytest.raises(ValueError):
             outage_perfect(Scenario(20, 0.5, 3.0, Scheme.PERFECT), 1.0)
+
+
+class TestRateArguments:
+    SCENARIOS = [
+        HOP20,
+        Scenario(20, 0.5, 3.0),
+        Scenario(20, 0.5, scheme=Scheme.QUANTIZED, quant_levels=2),
+        STATIC20,
+        Scenario(20, 0.5, 3.0, Scheme.STATIC),
+        PERFECT20,
+    ]
+
+    @pytest.mark.parametrize("sc", SCENARIOS, ids=lambda sc: str(sc.to_dict()))
+    def test_nan_rejected_huge_is_outage(self, sc):
+        outage = OUTAGE[sc.scheme]
+        for bad in (float("nan"), np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="rate"):
+                outage(sc, bad)
+        with pytest.raises(ValueError, match="eps"):
+            eps_capacity(sc, float("nan"))
+        for huge in (2000.0, np.inf):
+            assert outage(sc, huge) == 1.0
+        np.testing.assert_array_equal(outage(sc, np.array([1e3, 2e3, np.inf])), 1.0)
+
+    def test_shapes(self):
+        rates = np.linspace(0.0, 5.0, 12).reshape(3, 4)
+        for sc in self.SCENARIOS:
+            curve = OUTAGE[sc.scheme](sc, rates)
+            assert curve.shape == (3, 4)
+            assert isinstance(OUTAGE[sc.scheme](sc, 1.0), float)
+        eps = np.array([[1e-6, 1e-3], [0.1, 0.5]])
+        for sc in (HOP20, STATIC20, PERFECT20):
+            assert eps_capacity(sc, eps).shape == (2, 2)
+            assert isinstance(eps_capacity(sc, 1e-3), float)
 
 
 class TestSchemeDominance:

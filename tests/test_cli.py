@@ -72,6 +72,20 @@ class TestOutage:
         assert lines[0] == "rate,outage"
         assert len(lines) == 8
 
+    @pytest.mark.parametrize("scheme,rate,want", [
+        ("hopping", "nan", None), ("static", "nan", None), ("perfect", "nan", None),
+        ("hopping", "inf", "1.00000e+00"), ("static", "2000", "1.00000e+00"),
+        ("perfect", "inf", "1.00000e+00"), ("perfect", "2000", "1.00000e+00"),
+    ])
+    def test_bad_and_huge_rates(self, capsys, scheme, rate, want):
+        code, out, err = run_cli(capsys, "outage", "--n", "20", "--p", "0.5",
+                                 "--scheme", scheme, "--rate", rate)
+        if want is None:
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert (code, out.strip(), err) == (0, want, "")
+
     def test_golden_vs_library(self, capsys):
         code, out, _ = run_cli(capsys, "outage", "--n", "15", "--p", "0.7",
                                "--scheme", "hopping", "--rate", "2.2")

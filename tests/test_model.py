@@ -22,6 +22,13 @@ class TestScenario:
         d = Scenario(20, 0.5).link_count_distribution()
         assert d.pmf[0] == 2.0 ** -20
 
+    def test_link_law_computed_once(self):
+        sc = Scenario(3, (0.1, 0.5, 0.9))
+        assert sc.link_count_distribution() is sc.link_count_distribution()
+        assert Scenario(3, (0.1, 0.5, 0.9)) == sc
+        with pytest.raises(ValueError):
+            sc.link_count_distribution().pmf[0] = 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Scenario(0, 0.5)

@@ -1,6 +1,9 @@
 """The README's library example runs and prints the values it claims."""
+import json
 import pathlib
 import re
+
+import numpy as np
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,3 +22,8 @@ def test_library_example_runs():
     assert claims
     for expr, value in claims:
         assert f"{eval(expr, namespace):.4f}" == value, expr
+    arrays = re.findall(r"^(\S.*?)\s+#\s+(\[.*\])$", code, re.M)
+    assert arrays
+    for expr, value in arrays:  # four significant digits
+        np.testing.assert_allclose(eval(expr, namespace), json.loads(value),
+                                   rtol=5e-4, atol=0, err_msg=expr)

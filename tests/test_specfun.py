@@ -79,6 +79,15 @@ class TestMarcumQ1:
         with pytest.raises(ValueError):
             marcum_q1(-1.0, 1.0)
 
+    def test_array_matches_scalar(self):
+        a = np.array([0.0, 0.0, 1.0, 2.5, 7.5])
+        b = np.array([[0.0], [0.5], [3.0], [np.inf]])
+        q = marcum_q1(a, b)
+        assert q.shape == (4, 5)
+        for i, j in np.ndindex(q.shape):
+            assert q[i, j] == marcum_q1(float(a[j]), float(b[i, 0]))
+        assert np.all(q[0] == 1.0) and np.all(q[-1] == 0.0)
+
 
 class TestDiscreteDistribution:
     def test_invalid_sum(self):
@@ -92,6 +101,15 @@ class TestDiscreteDistribution:
 
     def test_support_max(self):
         assert binomial(20, 0.5).support_max == 20
+
+    def test_read_only(self):
+        source = np.array([0.5, 0.5])
+        d = DiscreteDistribution(source)
+        for table in (d.pmf, d.cdf):
+            with pytest.raises(ValueError):
+                table[0] = 0.25
+        source[0] = 0.25  # the caller's array is copied, not frozen
+        assert d.pmf[0] == 0.5
 
 
 class TestBinomial:
@@ -146,6 +164,14 @@ class TestQuantile:
 
     def test_low_p_floor(self):
         assert quantile(binomial(20, 0.1), 1e-3) == 0
+
+    def test_array(self):
+        d = binomial(20, 0.5)
+        eps = np.array([0.0, 1e-5, 0.5, 0.9])
+        np.testing.assert_array_equal(quantile(d, eps), [quantile(d, e) for e in eps])
+        for bad in (np.nan, 1.0, -0.1):
+            with pytest.raises(ValueError):
+                quantile(d, np.array([0.1, bad]))
 
     def test_eps_zero(self):
         assert quantile(binomial(20, 0.5), 0.0) == 0
