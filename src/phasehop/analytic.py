@@ -8,13 +8,13 @@ and the general-fading outage approximation.
 Outage and eps-capacity take a float or an array of rates (or eps) and
 return a float or an array of the same shape, by one code path. A NaN or
 negative rate raises ValueError; a rate too large for 2^R is an outage.
-Outage is Pr(C < R): a rate on a capacity plateau is not an outage,
-except as outage_perfect states.
+Outage is Pr(C < R): a rate on a capacity plateau is not an outage.
 """
 from __future__ import annotations
 
 import enum
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,50 +43,65 @@ _LN2 = np.log(2.0)
 
 
 class CapacityMethod(enum.Enum):
-    """Exact phasor-sum quadrature vs the exponential-integral approximation.
+    """Exact phasor-sum law vs the exponential-integral approximation.
 
-    For static-phase outage the exact member selects the phasor-sum cdf
-    (NLOS only) and the approximate member the Rayleigh/Rician tail forms.
+    For ergodic capacity the exact member integrates the characteristic
+    function J0(t)^n of the phasor sum against K1 (any LOS amplitude); for
+    static-phase outage it selects the Fourier-Bessel phasor-sum cdf (NLOS
+    only), and the approximate member the Rayleigh/Rician tail forms.
     """
 
     EXACT_HANKEL = "exact"
     APPROX_EI = "approx"
 
 
-@functools.lru_cache(maxsize=4096)
-def _capacity_nlos_exact(n: int) -> float:
-    """Exact NLOS ergodic capacity, written via the survival function:
-    C = integral over (0, n) of (1 - F_S(s)) * 2s / ((1+s^2) ln 2) ds,
-    which avoids the integrable pdf singularity at s = n."""
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return 1.0
-    dist = PhasorSumDistribution(n)
+# Exact-capacity rule: Gauss-Legendre of order _K1_ORDER on panels a
+# quarter period of J0(k t) wide up to t = 14.5 pi, where K1(t) < 1e-20,
+# with the first panel split geometrically _K1_GRADING times towards
+# t = 0, where K1 has its 1/t and t log t terms.
+_K1_ORDER = 16
+_K1_GRADING = 8
 
-    def w(s):
-        return (1.0 - dist.cdf(s)) * 2.0 * s / ((1.0 + s * s) * _LN2)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(
-            w, 0.0, float(n),
-            points=list(range(1, n)),
-            limit=max(400, 50 + 10 * n),
-            epsabs=1e-9, epsrel=1e-9,
-        )
-    return float(val)
+@functools.lru_cache(maxsize=16)
+def _k1_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights (2/ln 2) K1(t) w of the exact-capacity rule,
+    which resolves J0(a t) for every a <= k."""
+    h = np.pi / (2 * k)
+    edges = np.concatenate(([0.0], h * 2.0 ** np.arange(-_K1_GRADING, 0),
+                            h * np.arange(1, 29 * k + 1)))
+    x, w = np.polynomial.legendre.leggauss(_K1_ORDER)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    t = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).ravel()
+    weights = (0.5 * (hi - lo) * w).ravel() * special.k1(t) * (2.0 / _LN2)
+    for table in (t, weights):
+        table.setflags(write=False)
+    return t, weights
+
+
+def _capacity_exact(n: int, a: float) -> np.ndarray:
+    """Exact ergodic capacities C(0), ..., C(n) in bits with LOS amplitude a:
+    C(i, a) = (2/ln 2) * integral_0^inf (1 - J0(a t) J0(t)^i) K1(t) dt,
+    from ln(1 + r^2) = 2 * integral_0^inf (1 - J0(r t)) K1(t) dt and the
+    characteristic function J0(t)^i of the sum of i unit phasors."""
+    t, w = _k1_rule(max(1, math.ceil(a)))
+    rows = 1.0 - special.j0(a * t) * special.j0(t) ** np.arange(n + 1)[:, None]
+    # each row summed on its own (pairwise), so C(i) is the same number in
+    # every table that holds it
+    caps = (rows * w).sum(axis=1)
+    caps[0] = np.log2(1.0 + a * a)  # no phasors: the LOS channel alone
+    return caps
 
 
 def erg_capacity_nlos(n_avail: int, method: CapacityMethod) -> float:
     """Ergodic capacity in bits under phase hopping with n_avail NLOS links."""
     if n_avail < 0:
         raise ValueError(f"n_avail must be >= 0, got {n_avail}")
+    if method is CapacityMethod.EXACT_HANKEL:
+        return float(_capacity_table(int(n_avail), 0.0, method)[-1])
     if n_avail == 0:
         return 0.0
-    if method is CapacityMethod.APPROX_EI:
-        return cal_e(1.0 / n_avail) / _LN2
-    return _capacity_nlos_exact(int(n_avail))
+    return cal_e(1.0 / n_avail) / _LN2
 
 
 @functools.lru_cache(maxsize=4096)
@@ -118,8 +133,9 @@ def erg_capacity_los(
     n_avail: int, a: float, method: CapacityMethod = CapacityMethod.APPROX_EI
 ) -> float:
     """Ergodic capacity in bits under phase hopping with a LOS component of
-    amplitude a, averaging the noncentral chi-square gain law. At a = 0 it
-    is erg_capacity_nlos; the exact method is available for a = 0 only."""
+    amplitude a: exact by the phasor-sum characteristic function, or
+    approximate by averaging the noncentral chi-square gain law. At a = 0
+    it is erg_capacity_nlos."""
     if n_avail < 0:
         raise ValueError(f"n_avail must be >= 0, got {n_avail}")
     if a < 0:
@@ -127,14 +143,17 @@ def erg_capacity_los(
     if a == 0.0:
         return erg_capacity_nlos(n_avail, method)
     if method is CapacityMethod.EXACT_HANKEL:
-        raise ValueError("exact ergodic capacity is available for a = 0 only")
+        return float(_capacity_table(int(n_avail), float(a), method)[-1])
     return _capacity_los(int(n_avail), float(a))
 
 
 @functools.lru_cache(maxsize=256)
 def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
     """Read-only ergodic capacities C(0), ..., C(n), strictly increasing."""
-    table = np.array([erg_capacity_los(i, a, method) for i in range(n + 1)])
+    if method is CapacityMethod.EXACT_HANKEL:
+        table = _capacity_exact(n, a)
+    else:
+        table = np.array([erg_capacity_los(i, a, method) for i in range(n + 1)])
     table.setflags(write=False)
     return table
 
@@ -159,6 +178,23 @@ def _snr(rates: np.ndarray) -> np.ndarray:
         return np.power(2.0, rates) - 1.0
 
 
+def _aligned_capacities(scenario: Scenario) -> np.ndarray:
+    """log2(1 + k^2) for k = 0, ..., N: |H| = k when k NLOS phasors align."""
+    if scenario.los_amplitude != 0.0:
+        raise ValueError("perfect-adjustment outage is defined for a = 0 only")
+    k = np.arange(scenario.n_elements + 1)
+    return np.log2(1.0 + k * k)
+
+
+def _step_outage(scenario: Scenario, rate, caps: np.ndarray):
+    """Pr(caps[K] < rate) over the link-count law K, for capacities caps
+    increasing in the link count: searchsorted counts the link numbers
+    whose capacity lies below each rate."""
+    r = _checked(rate, "rate")
+    cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
+    return _like(cdf0[np.searchsorted(caps, r, "left")], rate)
+
+
 def outage_hopping(
     scenario: Scenario, rate, method: CapacityMethod = CapacityMethod.APPROX_EI
 ):
@@ -171,11 +207,8 @@ def outage_hopping(
     """
     if scenario.scheme not in (Scheme.HOPPING, Scheme.QUANTIZED):
         raise ValueError(f"scheme must be hopping or quantized, got {scenario.scheme}")
-    r = _checked(rate, "rate")
     caps = _capacity_table(scenario.n_elements, scenario.los_amplitude, method)
-    cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
-    # searchsorted counts the link numbers whose capacity lies below r
-    return _like(cdf0[np.searchsorted(caps, r, "left")], rate)
+    return _step_outage(scenario, rate, caps)
 
 
 def eps_capacity(
@@ -184,15 +217,12 @@ def eps_capacity(
     """eps-outage capacity at each eps: the largest rate whose outage does
     not exceed eps."""
     e = np.atleast_1d(np.asarray(eps, dtype=float))
-    dist = scenario.link_count_distribution()
-    k = np.minimum(quantile(dist, e), dist.support_max)
+    k = quantile(scenario.link_count_distribution(), e)
     a = scenario.los_amplitude
-    if scenario.scheme in (Scheme.HOPPING, Scheme.QUANTIZED):
-        return _like(_capacity_table(dist.support_max, a, method)[k], eps)
-    if scenario.scheme is Scheme.PERFECT:
-        if a != 0.0:
-            raise ValueError("perfect-adjustment outage is defined for a = 0 only")
-        return _like(np.log2(1.0 + k * k), eps)
+    if scenario.scheme is not Scheme.STATIC:
+        caps = (_aligned_capacities(scenario) if scenario.scheme is Scheme.PERFECT
+                else _capacity_table(scenario.n_elements, a, method))
+        return _like(caps[k], eps)
     # static: invert the continuous outage curve, one root search per eps
     r_max = float(np.log2(1.0 + (a + scenario.n_elements) ** 2))
     lo = 1e-12
@@ -208,12 +238,7 @@ def _static_fixed(n_avail: int, snr: np.ndarray, a: float, mode: CapacityMethod)
     if mode is CapacityMethod.EXACT_HANKEL:
         if a != 0.0:
             raise ValueError("exact static outage is available for a = 0 only")
-        s = np.sqrt(snr)
-        out = (s >= n_avail).astype(float)
-        inside = (s > 0.0) & (s < n_avail)
-        dist = PhasorSumDistribution(n_avail)
-        out[inside] = [dist.cdf(float(x)) for x in s[inside]]
-        return out
+        return PhasorSumDistribution(n_avail).cdf(np.minimum(np.sqrt(snr), n_avail))
     if a == 0.0:
         return 1.0 - np.exp(-snr / n_avail)
     return 1.0 - marcum_q1(np.sqrt(2.0 * a * a / n_avail), np.sqrt(2.0 * snr / n_avail))
@@ -223,9 +248,9 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     """Outage at each rate with static phases, conditioned on n_avail >= 1
     active links.
 
-    Exact mode evaluates the phasor-sum cdf at sqrt(2^R - 1) and requires
-    a = 0; approximate mode uses the exponential (NLOS) or Marcum-Q (LOS)
-    tail valid for large link counts.
+    Exact mode evaluates the phasor-sum cdf at sqrt(2^R - 1), all rates in
+    one call, and requires a = 0; approximate mode uses the exponential
+    (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
     """
     if n_avail < 1:
         raise ValueError(f"n_avail must be >= 1, got {n_avail}")
@@ -255,18 +280,10 @@ def outage_static(
 
 
 def outage_perfect(scenario: Scenario, rate):
-    """Outage at each rate with perfect phase adjustment (NLOS): the
-    link-count cdf at floor(sqrt(2^R - 1)), since |H| = n_avail when all
-    phasors align. At a plateau R = log2(1+k^2) this counts k links as an
-    outage whenever 2^R - 1 rounds to k^2 or above."""
-    if scenario.los_amplitude != 0.0:
-        raise ValueError("perfect-adjustment outage is defined for a = 0 only")
-    r = _checked(rate, "rate")
-    cdf = scenario.link_count_distribution().cdf
-    k = np.minimum(np.floor(np.sqrt(_snr(r))), cdf.size - 1).astype(int)
-    out = np.append(cdf[:-1], 1.0)[k]  # every count k >= n is at or below R
-    # capacities are nonnegative, never strictly below 0
-    return _like(np.where(r == 0.0, 0.0, out), rate)
+    """Outage at each rate with perfect phase adjustment (NLOS): a step
+    mixture at the capacities log2(1 + k^2) of k aligned links, with the
+    same strict convention as outage_hopping."""
+    return _step_outage(scenario, rate, _aligned_capacities(scenario))
 
 
 @dataclass(frozen=True)

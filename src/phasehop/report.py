@@ -117,8 +117,9 @@ def _jsonable(obj):
 
 
 def _build_erg_cap_compare(p):
-    ns = np.arange(1, p["n_max"] + 1)
-    exact = [analytic.erg_capacity_nlos(int(n), CapacityMethod.EXACT_HANKEL) for n in ns]
+    n_max = int(p["n_max"])
+    ns = np.arange(1, n_max + 1)
+    exact = analytic._capacity_table(n_max, 0.0, CapacityMethod.EXACT_HANKEL)[1:]
     approx = [analytic.erg_capacity_nlos(int(n), CapacityMethod.APPROX_EI) for n in ns]
     return {"n": ns, "exact": exact, "approx": approx}
 

@@ -101,6 +101,7 @@ class DiscreteDistribution:
         if abs(pmf.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1, got {pmf.sum()!r}")
         cdf = np.minimum(np.cumsum(pmf), 1.0)
+        cdf[-1] = 1.0  # the cumulative sum can end a few ulps below 1
         for table in (pmf, cdf):
             table.setflags(write=False)
         object.__setattr__(self, "pmf", pmf)

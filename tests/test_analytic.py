@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,9 @@ from phasehop.specfun import binomial, cal_e
 
 EXACT = CapacityMethod.EXACT_HANKEL
 APPROX = CapacityMethod.APPROX_EI
+# 30-digit mpmath references of the exact capacities (bench/make_refs.py)
+REFS = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                   / "bench" / "refs.json").read_text())
 
 HOP20 = Scenario(20, 0.5)
 STATIC20 = Scenario(20, 0.5, scheme=Scheme.STATIC)
@@ -33,7 +39,17 @@ class TestErgCapacityNlos:
         assert erg_capacity_nlos(0, APPROX) == 0.0
 
     def test_single_link_exact(self):
-        assert erg_capacity_nlos(1, EXACT) == pytest.approx(1.0, abs=1e-3)
+        assert erg_capacity_nlos(1, EXACT) == pytest.approx(1.0, abs=1e-13)
+
+    def test_two_links_exact(self):
+        # 2 log2 of the golden ratio
+        assert erg_capacity_nlos(2, EXACT) == pytest.approx(
+            2 * np.log2((1 + np.sqrt(5)) / 2), abs=1e-13)
+
+    def test_exact_references(self):
+        for n in range(1, 51):
+            ref = float(REFS["exact_capacity"][str(n)])
+            assert erg_capacity_nlos(n, EXACT) == pytest.approx(ref, rel=1e-12)
 
     def test_single_link_approx(self):
         assert erg_capacity_nlos(1, APPROX) == pytest.approx(0.8603, abs=1e-3)
@@ -96,12 +112,31 @@ class TestErgCapacityLos:
         assert erg_capacity_los(n, a) == pytest.approx(np.mean(caps), abs=0.02)
 
 
-    def test_exact_requires_nlos(self):
-        with pytest.raises(ValueError, match="a = 0 only"):
-            erg_capacity_los(6, 2.0, EXACT)
-        with pytest.raises(ValueError, match="a = 0 only"):
-            outage_hopping(Scenario(20, 0.5, 2.0), 3.0, EXACT)
-        assert erg_capacity_los(1, 0.0, EXACT) == 1.0
+    def test_exact_los_value(self):
+        los = REFS["exact_capacity_los"]
+        assert erg_capacity_los(los["n"], los["a"], EXACT) == pytest.approx(
+            float(los["value"]), rel=1e-12)
+        assert erg_capacity_los(0, 3.0, EXACT) == np.log2(10.0)
+        # the exact table feeds hopping outage and eps-capacity with LOS
+        sc = Scenario(20, 0.5, 2.0)
+        c6 = erg_capacity_los(6, 2.0, EXACT)
+        assert outage_hopping(sc, c6, EXACT) == binomial(20, 0.5).cdf[5]
+        assert eps_capacity(sc, binomial(20, 0.5).cdf[5], EXACT) == c6
+
+    def test_exact_los_mc(self):
+        # 4e5 fast draws at n = 6, a = 2: the exact value (2.9712) is inside
+        # 4 sigma of the sample mean, the Gaussian approximation (2.9614)
+        # is not
+        rng = np.random.default_rng(8)
+        caps = []
+        for _ in range(4):
+            theta = rng.uniform(0, 2 * np.pi, (10**5, 7))
+            h = 2.0 * np.exp(1j * theta[:, 0]) + np.exp(1j * theta[:, 1:]).sum(axis=1)
+            caps.append(np.log2(1 + np.abs(h) ** 2))
+        caps = np.concatenate(caps)
+        sigma = caps.std() / np.sqrt(caps.size)
+        assert abs(erg_capacity_los(6, 2.0, EXACT) - caps.mean()) <= 4 * sigma
+        assert abs(erg_capacity_los(6, 2.0, APPROX) - caps.mean()) > 4 * sigma
 
 
 class TestOutageHopping:
@@ -110,6 +145,8 @@ class TestOutageHopping:
 
     def test_above_top_plateau(self):
         assert outage_hopping(HOP20, 4.0) == 1.0
+        for p in (0.05, 0.3, 0.95, tuple(np.linspace(0.1, 0.9, 20))):
+            assert outage_hopping(Scenario(20, p), np.inf) == 1.0
 
     def test_all_links_step(self):
         sc = Scenario(20, 1.0)
@@ -166,9 +203,23 @@ class TestEpsCapacity:
     def test_perfect(self):
         assert eps_capacity(PERFECT20, 1e-5) == 1.0
 
+    def test_perfect_duality(self):
+        # just above each link-count cdf step, as well as at random eps
+        rng = np.random.default_rng(5)
+        for n, p in ((20, 0.5), (64, 0.3), (7, 0.9)):
+            sc = Scenario(n, p, scheme=Scheme.PERFECT)
+            cdf = sc.link_count_distribution().cdf
+            eps = np.concatenate([np.nextafter(cdf[:-1], 1.0),
+                                  10 ** rng.uniform(-8, -0.1, 20)])
+            eps = eps[eps < 1.0]
+            r = eps_capacity(sc, eps)
+            assert np.all(outage_perfect(sc, r) <= eps)
+            assert np.all(outage_perfect(sc, r + 1e-9) > eps)
+
     def test_static_small(self):
         val = eps_capacity(STATIC20, 1e-5, EXACT)
         assert 0 < val < 0.005
+        assert val == pytest.approx(1.2083e-4, rel=1e-4)
 
     def test_duality(self):
         rng = np.random.default_rng(3)
@@ -203,6 +254,16 @@ class TestOutageStaticFixed:
         # sqrt(2^R - 1) >= n means the phasor sum can never reach the target
         assert outage_static_fixed(2, 3.0, 0.0, EXACT) == 1.0
 
+    def test_exact_array_is_per_rate(self):
+        rates = np.linspace(0.0, 7.0, 41)
+        for n in (1, 2, 3, 6, 20):
+            curve = outage_static_fixed(n, rates, 0.0, EXACT)
+            scalar = [outage_static_fixed(n, float(r), 0.0, EXACT) for r in rates]
+            np.testing.assert_array_equal(curve, scalar)
+        curve = outage_static(STATIC20, rates, EXACT)
+        np.testing.assert_array_equal(
+            curve, [outage_static(STATIC20, float(r), EXACT) for r in rates])
+
     def test_exact_close_to_approx_large_n(self):
         for r in (0.5, 1.0, 2.0):
             e = outage_static_fixed(30, r, 0.0, EXACT)
@@ -234,7 +295,9 @@ class TestOutagePerfect:
         assert outage_perfect(PERFECT20, 0.99) == pytest.approx(2.0 ** -20, rel=1e-9)
 
     def test_at_one(self):
-        assert outage_perfect(PERFECT20, 1.0) == pytest.approx(21 * 2.0 ** -20, rel=1e-9)
+        # one aligned link carries exactly 1 bit: R = 1 is not an outage for it
+        assert outage_perfect(PERFECT20, 1.0) == 2.0 ** -20
+        assert outage_perfect(PERFECT20, np.nextafter(1.0, 2.0)) == 21 * 2.0 ** -20
 
     def test_saturation(self):
         assert outage_perfect(PERFECT20, np.log2(1 + 20 ** 2) + 1e-9) == 1.0

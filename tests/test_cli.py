@@ -35,12 +35,11 @@ class TestCapacity:
         assert code == 0
         assert float(out) == 0.0
 
-    def test_exact_with_los_rejected(self, capsys):
-        code, out, err = run_cli(capsys, "capacity", "--links", "6", "--a", "2",
-                                 "--method", "exact")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+    def test_exact_with_los(self, capsys):
+        code, out, _ = run_cli(capsys, "capacity", "--links", "6", "--a", "2",
+                               "--method", "exact")
+        assert code == 0
+        assert out.strip() == "2.9712"
 
 
 class TestOutage:
@@ -48,7 +47,7 @@ class TestOutage:
         code, out, _ = run_cli(capsys, "outage", "--n", "20", "--p", "0.5",
                                "--scheme", "perfect", "--rate", "1")
         assert code == 0
-        assert out.strip() == "2.00272e-05"
+        assert out.strip() == "9.53674e-07"  # one link carries exactly 1 bit
 
     def test_hopping_floor(self, capsys):
         code, out, _ = run_cli(capsys, "outage", "--n", "20", "--p", "0.5",

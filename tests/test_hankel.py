@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from phasehop.hankel import AccuracyWarning, PhasorSumDistribution, hankel_transform
 
@@ -7,6 +10,22 @@ from phasehop.hankel import AccuracyWarning, PhasorSumDistribution, hankel_trans
 def two_link_density(s):
     # |e^{j u1} + e^{j u2}| has the arcsine-type density 2 / (pi sqrt(4 - s^2))
     return 2.0 / (np.pi * np.sqrt(4.0 - s * s))
+
+
+def three_link_cdf(s):
+    """F_3(s) as one integral: the first two phasors sum to length
+    r = 2 sin(phi) with phi uniform on [0, pi/2], and the third at a uniform
+    angle psi gives |S| <= s when cos(psi) <= (s^2 - r^2 - 1) / (2r). So
+    F_3(s) = (2/pi) * integral_0^{pi/2} (1 - arccos(clip(...)) / pi) dphi,
+    split where the clip switches on or off."""
+    def integrand(phi):
+        u = np.sin(phi)
+        return 1.0 - np.arccos(np.clip((s * s - 4 * u * u - 1) / (4 * u), -1, 1)) / np.pi
+
+    kinks = [np.arcsin(u) for u in ((1 - s) / 2, (s - 1) / 2, (1 + s) / 2) if 0 < u < 1]
+    val, _ = integrate.quad(integrand, 0.0, np.pi / 2, points=kinks or None,
+                            epsabs=1e-13, epsrel=1e-13, limit=200)
+    return 2.0 / np.pi * val
 
 
 class TestHankelTransform:
@@ -53,11 +72,22 @@ class TestPhasorSumDistribution:
         assert d.pdf(1.0) == pytest.approx(two_link_density(1.0), abs=1e-4)
 
     def test_accuracy_warning_near_zero(self):
-        # the true density at s = 0.002 is 2 / (pi sqrt(4 - s^2)) ~ 0.318, but
-        # the quadrature returns about -1.04e-2: flagged, then clamped to 0
+        # n = 2 is the closed form: the true density near s = 0, with no
+        # quadrature and no warning
         d = PhasorSumDistribution(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            for s in (0.0, 0.002, 1.998):
+                assert d.pdf(s) == pytest.approx(two_link_density(s), rel=1e-15)
+        assert d.pdf(2.0) == np.inf
+
+    def test_accuracy_warning_three_links_at_edge(self):
+        # the n = 3 density tends to sqrt(3) / (2 pi) ~ 0.276 at s = 3, but
+        # the quadrature returns about -2.3 at s = 2.998: flagged, then
+        # clamped to 0
+        d = PhasorSumDistribution(3)
         with pytest.warns(AccuracyWarning, match="markedly negative"):
-            val = d.pdf(0.002)
+            val = d.pdf(2.998)
         assert val == 0.0
 
     def test_edge_divergence_monotone(self):
@@ -81,11 +111,41 @@ class TestPhasorSumDistribution:
     def test_two_phasor_cdf(self):
         d = PhasorSumDistribution(2)
         assert d.cdf(1.0) == pytest.approx(1.0 / 3.0, abs=1e-3)
+        s = np.concatenate([[0.0, 0.002, 0.02], np.linspace(0.05, 1.95, 39),
+                            [1.998, 2.0]])
+        np.testing.assert_allclose(d.cdf(s), 2 / np.pi * np.arcsin(s / 2), rtol=1e-15)
 
     def test_full_support(self):
         d = PhasorSumDistribution(20)
         assert d.cdf(20.0) == pytest.approx(1.0, abs=1e-4)
         assert d.cdf(0.0) == 0.0
+
+    def test_three_phasor_cdf(self):
+        d = PhasorSumDistribution(3)
+        s = np.concatenate([[0.002, 0.05], np.linspace(0.1, 2.9, 29), [2.95, 2.998]])
+        ref = np.array([three_link_cdf(x) for x in s])
+        np.testing.assert_allclose(d.cdf(s), ref, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_series_matches_hankel_oracle(self, n):
+        from scipy.special import j0
+
+        pts = np.linspace(0.1 * n, 0.9 * n, 7)
+        oracle = [s * hankel_transform(lambda t: j0(t) ** n / t, 1, s) for s in pts]
+        np.testing.assert_allclose(PhasorSumDistribution(n).cdf(pts), oracle,
+                                   rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    def test_cdf_array_is_scalar(self, n):
+        d = PhasorSumDistribution(n)
+        s = np.linspace(0.0, n, 13).reshape(13, 1)
+        curve = d.cdf(s)
+        assert curve.shape == (13, 1)
+        scalar = [d.cdf(float(x)) for x in s.ravel()]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_array_equal(curve.ravel(), scalar)
+        with pytest.raises(ValueError):
+            d.cdf(np.array([1.0, np.nan]))
 
     def test_cdf_monotone(self):
         d = PhasorSumDistribution(5)

@@ -80,13 +80,13 @@ def loop_outage(sc, rate: float) -> float:
     capacities in place of the capacity table."""
     dist = sc.link_count_distribution()
     n, a = sc.n_elements, sc.los_amplitude
-    if sc.scheme in (Scheme.HOPPING, Scheme.QUANTIZED):
-        k = sum(erg_capacity_los(i, a) < rate for i in range(n + 1))
+    if sc.scheme is not Scheme.STATIC:
+        caps = ([math.log2(1 + i * i) for i in range(n + 1)]
+                if sc.scheme is Scheme.PERFECT
+                else [erg_capacity_los(i, a) for i in range(n + 1)])
+        k = sum(c < rate for c in caps)
         return 0.0 if k == 0 else float(dist.cdf[k - 1])
     snr = 2.0**rate - 1.0
-    if sc.scheme is Scheme.PERFECT:
-        k = math.floor(math.sqrt(snr))
-        return 0.0 if rate == 0.0 else 1.0 if k >= n else float(dist.cdf[k])
     total = float(dist.pmf[0]) if rate > math.log2(1.0 + a * a) else 0.0
     for i in range(1, n + 1):
         if a == 0.0:

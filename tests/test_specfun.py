@@ -99,6 +99,16 @@ class TestDiscreteDistribution:
         assert np.all(np.diff(d.cdf) >= 0)
         assert d.cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_cdf_top_is_one(self):
+        # the cumulative sum can round to 1 - 7e-16 (n = 20, p = 0.3 does)
+        rng = np.random.default_rng(11)
+        laws = [binomial(20, p) for p in (0.05, 0.3, 0.5, 0.95)]
+        laws += [poisson_binomial(rng.uniform(0.0, 1.0, int(rng.integers(1, 80))))
+                 for _ in range(200)]
+        for d in laws:
+            assert d.cdf[-1] == 1.0
+            assert np.all(d.cdf <= 1.0)
+
     def test_support_max(self):
         assert binomial(20, 0.5).support_max == 20
 
