@@ -271,12 +271,18 @@ def outage_static(
     a = scenario.los_amplitude
     snr = _snr(r)
     total = np.where(r > np.log2(1.0 + a * a), dist.pmf[0], 0.0)
+    certain = total == dist.pmf[0]  # every positive-weight term so far is 1
+    checking = certain.any()  # a scalar rate stops checking at its first term < 1
     for i in range(1, dist.support_max + 1):
         w = dist.pmf[i]
         if w == 0.0:
             continue
-        total = total + w * _static_fixed(i, snr, a, mode)
-    return _like(np.minimum(1.0, total), rate)
+        fixed = _static_fixed(i, snr, a, mode)
+        if checking:
+            certain &= fixed == 1.0
+            checking = certain.any()
+        total = total + w * fixed
+    return _like(np.where(certain, 1.0, np.minimum(1.0, total)), rate)
 
 
 def outage_perfect(scenario: Scenario, rate):

@@ -1,10 +1,11 @@
 """Deterministic two-timescale Monte-Carlo channel simulator.
 
-Slow realizations (link availability and channel phases) are drawn from
-counter-based Philox streams keyed by (seed, slow index), so results are
-bit-identical for a fixed config regardless of how many workers split the
-slow loop. The fast loop averages the instantaneous capacity over the
-per-symbol surface phases.
+Slow samples (link availability, channel phases and the LOS phase) come in
+blocks of 256, and block b draws from the Philox stream keyed by (seed, b).
+Results are therefore bit-identical for any number of workers, which are
+threads over blocks: a run of at most 256 slow samples uses one thread.
+Static and perfect are evaluated per block; hopping and quantized average
+the capacity over per-symbol surface phases in a fast loop.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _FAST_CHUNK = 4096
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """Per-slow-realization ergodic capacities in bits."""
+    """Per-slow-sample ergodic capacities in bits and available link counts."""
 
     per_slow_capacity: np.ndarray
+    n_avail: np.ndarray
     config: McConfig
     _sorted: np.ndarray = field(init=False, repr=False)
 
@@ -61,7 +64,13 @@ class McResult:
         cap = np.asarray(self.per_slow_capacity, dtype=float)
         if np.any(cap < -1e-12):
             raise ValueError("capacities must be nonnegative")
+        links = np.asarray(self.n_avail)
+        n = self.config.scenario.n_elements
+        if links.shape != cap.shape or links.dtype.kind not in "iu" or not (
+                np.all(links >= 0) and np.all(links <= n)):
+            raise ValueError(f"n_avail needs one link count in [0, {n}] per capacity")
         object.__setattr__(self, "per_slow_capacity", cap)
+        object.__setattr__(self, "n_avail", links)
         object.__setattr__(self, "_sorted", np.sort(cap))
 
     def outage_at(self, rates) -> np.ndarray:
@@ -71,55 +80,50 @@ class McResult:
         return counts / self._sorted.size
 
 
-def _slow_stream(seed: int, slow_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, slow_index]))
-
-
-def _capacity_one_slow(config: McConfig, probs: np.ndarray, slow_index: int) -> float:
+def _block(config: McConfig, probs: np.ndarray, b: int):
+    """Capacities and link counts of the slow samples in block b."""
     sc = config.scenario
-    rng = _slow_stream(config.seed, slow_index)
-    n = sc.n_elements
-    a = sc.los_amplitude
-    idx = np.flatnonzero(rng.random(n) < probs)
-    phi = rng.random(n) * _TWO_PI
-    phi_los = rng.random() * _TWO_PI
-
+    m = min(_BLOCK, config.slow_samples - b * _BLOCK)
+    rng = np.random.Generator(np.random.Philox(key=[config.seed, b]))
+    avail = rng.random((m, sc.n_elements)) < probs
+    phi = rng.random((m, sc.n_elements)) * _TWO_PI
+    los = sc.los_amplitude * np.exp(1j * _TWO_PI * rng.random(m))
+    n_avail = avail.sum(axis=1)
     if sc.scheme is Scheme.PERFECT:
-        return float(np.log2(1.0 + (a + idx.size) ** 2))
-    if idx.size == 0:
-        return float(np.log2(1.0 + a * a))
-    phi_act = phi[idx]
-    los = complex(a * np.cos(phi_los), a * np.sin(phi_los))
+        return np.log2(1.0 + (sc.los_amplitude + n_avail) ** 2), n_avail
+    caps = np.empty(m)
     if sc.scheme is Scheme.STATIC:
-        return float(symbol_capacity(phi_act, np.zeros((1, idx.size)), los)[0])
-
-    total = 0.0
-    remaining = config.fast_samples
-    while remaining > 0:
-        m = min(_FAST_CHUNK, remaining)
-        if sc.scheme is Scheme.QUANTIZED:
-            theta = rng.integers(0, sc.quant_levels, size=(m, idx.size))
-            theta = theta * (_TWO_PI / sc.quant_levels)
-        else:
-            theta = rng.random((m, idx.size)) * _TWO_PI
-        total += float(symbol_capacity(phi_act, theta, los).sum())
-        remaining -= m
-    return total / config.fast_samples
+        # one call per link count k; the static phases take the theta slot
+        for k in np.unique(n_avail):
+            rows = np.flatnonzero(n_avail == k)
+            theta = phi[rows][avail[rows]].reshape(rows.size, k)
+            caps[rows] = symbol_capacity(np.zeros(k), theta, los[rows])
+        return caps, n_avail
+    levels = sc.quant_levels
+    for row in range(m):
+        phi_act = phi[row, avail[row]]
+        total = 0.0
+        for start in range(0, config.fast_samples, _FAST_CHUNK):
+            shape = (min(_FAST_CHUNK, config.fast_samples - start), phi_act.size)
+            if sc.scheme is Scheme.QUANTIZED:
+                theta = rng.integers(0, levels, size=shape) * (_TWO_PI / levels)
+            else:
+                theta = rng.random(shape) * _TWO_PI
+            total += float(symbol_capacity(phi_act, theta, los[row]).sum())
+        caps[row] = total / config.fast_samples
+    return caps, n_avail
 
 
 def run(config: McConfig, workers: int = 1) -> McResult:
-    """Simulate all slow realizations; bit-identical for any worker count."""
+    """Simulate all slow samples, one block per task on up to `workers` threads."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     probs = config.scenario.prob_vector
-    indices = range(config.slow_samples)
-    if workers == 1:
-        caps = [_capacity_one_slow(config, probs, k) for k in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            caps = list(pool.map(lambda k: _capacity_one_slow(config, probs, k),
-                                 indices))
-    return McResult(np.asarray(caps), config)
+    n_blocks = -(-config.slow_samples // _BLOCK)
+    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
+        blocks = list(pool.map(lambda b: _block(config, probs, b), range(n_blocks)))
+    caps, n_avail = zip(*blocks)
+    return McResult(np.concatenate(caps), np.concatenate(n_avail), config)
 
 
 def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
@@ -133,14 +137,12 @@ def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     out = np.empty(samples)
-    pos = 0
     chunk = max(1, 2_000_000 // n)
-    while pos < samples:
+    for pos in range(0, samples, chunk):
         m = min(chunk, samples - pos)
         phi = rng.random((m, n)) * _TWO_PI
         theta = rng.integers(0, k_levels, size=(m, n)) * (_TWO_PI / k_levels)
         out[pos : pos + m] = np.cos(phi + theta).sum(axis=1)
-        pos += m
     return out
 
 

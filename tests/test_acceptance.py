@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from phasehop import analytic, montecarlo
+from phasehop import analytic
 from phasehop.analytic import CapacityMethod, EmpiricalCdf
 from phasehop.hankel import PhasorSumDistribution, hankel_transform
 from phasehop.model import Scenario, Scheme
@@ -129,14 +129,8 @@ class TestCriterion4:
         # approximation error itself exceeds 0.02 (all i <= 13)
         res, mc_time = hopping_mc
         t0 = time.time()
-        caps = res.per_slow_capacity
-        # the slow streams are deterministic, so the link count behind each
-        # capacity sample can be replayed and the plateau located as the
-        # within-count average
-        n_avail = np.array([
-            int((montecarlo._slow_stream(2024, k).random(20) < 0.5).sum())
-            for k in range(caps.size)
-        ])
+        # the plateau of each link count is its within-count average
+        caps, n_avail = res.per_slow_capacity, res.n_avail
         diffs = []
         for i in range(1, 21):
             sel = caps[n_avail == i]

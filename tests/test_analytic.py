@@ -284,6 +284,17 @@ class TestOutageStatic:
         curve = [outage_static(STATIC20, float(r)) for r in rates]
         assert np.all(np.diff(curve) >= -1e-12)
 
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_certain_outage_is_one(self, method):
+        # each of these sums its link-count weights to 1 - O(1e-16)
+        hetero = (0.62, 0.29, 0.09, 0.06, 0.78, 0.87, 0.6, 0.71, 0.54, 0.89)
+        for p in (0.05, 0.3, hetero):
+            sc = Scenario(20 if np.isscalar(p) else 10, p, scheme=Scheme.STATIC)
+            assert outage_static(sc, np.inf, method) == 1.0
+            assert outage_static(sc, 1e3, method) == 1.0
+            np.testing.assert_array_equal(
+                outage_static(sc, [np.inf, 1e3], method), [1.0, 1.0])
+
     def test_los_zero_link_term(self):
         sc = Scenario(2, 0.0, 3.0, Scheme.STATIC)
         assert outage_static(sc, 1.0) == 0.0

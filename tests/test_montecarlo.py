@@ -33,11 +33,17 @@ class TestDeterminism:
         b = run(cfg).per_slow_capacity
         np.testing.assert_array_equal(a, b)
 
-    def test_worker_count_invariance(self):
-        cfg = McConfig(Scenario(10, 0.5), 64, 500, seed=5)
-        a = run(cfg, workers=1).per_slow_capacity
-        b = run(cfg, workers=8).per_slow_capacity
-        np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_worker_count_invariance(self, scheme):
+        # three blocks of slow samples, the last one short
+        k = 4 if scheme is Scheme.QUANTIZED else None
+        sc = Scenario(10, 0.5, 1.5, scheme, quant_levels=k)
+        cfg = McConfig(sc, 2 * 256 + 37, 500, seed=5)
+        ref = run(cfg, workers=1)
+        for workers in (2, 3, 8):
+            res = run(cfg, workers=workers)
+            np.testing.assert_array_equal(res.per_slow_capacity, ref.per_slow_capacity)
+            np.testing.assert_array_equal(res.n_avail, ref.n_avail)
 
     def test_seed_changes_output(self):
         sc = Scenario(10, 0.5)
@@ -97,11 +103,29 @@ class TestSchemes:
 
 class TestMcResult:
     def test_strict_ecdf(self):
-        res = McResult(np.array([1.0, 1.0, 2.0, 3.0]),
+        res = McResult(np.array([1.0, 1.0, 2.0, 3.0]), np.array([1, 1, 2, 2]),
                        McConfig(Scenario(2, 0.5), 4, 1))
         assert res.outage_at(1.0)[0] == 0.0
         assert res.outage_at(1.0 + 1e-12)[0] == 0.5
         assert res.outage_at(10.0)[0] == 1.0
+
+    def test_n_avail_follows_link_law(self):
+        sc = Scenario(6, (0.2, 0.35, 0.5, 0.65, 0.8, 0.9), 0.5, Scheme.PERFECT)
+        slow = 10 * 256
+        res = run(McConfig(sc, slow, 1, seed=41))
+        np.testing.assert_array_equal(
+            res.per_slow_capacity, np.log2(1.0 + (0.5 + res.n_avail) ** 2))
+        ana = sc.link_count_distribution().cdf
+        emp = np.array([np.mean(res.n_avail <= k) for k in range(7)])
+        sigma = np.sqrt(ana * (1 - ana) / slow)
+        assert np.all(np.abs(emp - ana) <= 3 * sigma)
+
+    @pytest.mark.parametrize("n_avail", [
+        [1, 1, 2], [1, 1, 2, 3], [1, -1, 2, 2], [1.0, 1.0, 2.0, 2.0]])
+    def test_n_avail_validation(self, n_avail):
+        with pytest.raises(ValueError):
+            McResult(np.array([1.0, 1.0, 2.0, 3.0]), np.array(n_avail),
+                     McConfig(Scenario(2, 0.5), 4, 1))
 
 
 class TestQuantizedSumMoments:
