@@ -93,15 +93,21 @@ def _capacity_exact(n: int, a: float) -> np.ndarray:
     return caps
 
 
+def _link_count(n_avail, least: int) -> int:
+    """n_avail as an int; ValueError unless it is a whole number >= least."""
+    if not (n_avail >= least and float(n_avail).is_integer()):
+        raise ValueError(f"n_avail must be a whole number >= {least}, got {n_avail}")
+    return int(n_avail)
+
+
 def erg_capacity_nlos(n_avail: int, method: CapacityMethod) -> float:
     """Ergodic capacity in bits under phase hopping with n_avail NLOS links."""
-    if n_avail < 0:
-        raise ValueError(f"n_avail must be >= 0, got {n_avail}")
+    n = _link_count(n_avail, 0)
     if method is CapacityMethod.EXACT_HANKEL:
-        return float(_capacity_table(int(n_avail), 0.0, method)[-1])
-    if n_avail == 0:
+        return float(_capacity_table(n, 0.0, method)[-1])
+    if n == 0:
         return 0.0
-    return cal_e(1.0 / n_avail) / _LN2
+    return cal_e(1.0 / n) / _LN2
 
 
 @functools.lru_cache(maxsize=4096)
@@ -136,15 +142,14 @@ def erg_capacity_los(
     amplitude a: exact by the phasor-sum characteristic function, or
     approximate by averaging the noncentral chi-square gain law. At a = 0
     it is erg_capacity_nlos."""
-    if n_avail < 0:
-        raise ValueError(f"n_avail must be >= 0, got {n_avail}")
+    n = _link_count(n_avail, 0)
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if a == 0.0:
-        return erg_capacity_nlos(n_avail, method)
+        return erg_capacity_nlos(n, method)
     if method is CapacityMethod.EXACT_HANKEL:
-        return float(_capacity_table(int(n_avail), float(a), method)[-1])
-    return _capacity_los(int(n_avail), float(a))
+        return float(_capacity_table(n, float(a), method)[-1])
+    return _capacity_los(n, float(a))
 
 
 @functools.lru_cache(maxsize=256)
@@ -234,14 +239,22 @@ def eps_capacity(
     return _like(out, eps)
 
 
-def _static_fixed(n_avail: int, snr: np.ndarray, a: float, mode: CapacityMethod):
+def _static_fixed(links: np.ndarray, snr: np.ndarray, a: float,
+                  mode: CapacityMethod) -> np.ndarray:
+    """Outage with exactly k >= 1 links on the grid of rates, given as
+    snr = 2^R - 1, by link counts k (the last axis)."""
     if mode is CapacityMethod.EXACT_HANKEL:
         if a != 0.0:
             raise ValueError("exact static outage is available for a = 0 only")
-        return PhasorSumDistribution(n_avail).cdf(np.minimum(np.sqrt(snr), n_avail))
+        root = np.sqrt(snr)
+        grid = np.empty(snr.shape + links.shape)
+        for j, k in enumerate(links):
+            grid[..., j] = PhasorSumDistribution(int(k)).cdf(np.minimum(root, k))
+        return grid
+    s = snr[..., None]
     if a == 0.0:
-        return 1.0 - np.exp(-snr / n_avail)
-    return 1.0 - marcum_q1(np.sqrt(2.0 * a * a / n_avail), np.sqrt(2.0 * snr / n_avail))
+        return -np.expm1(-s / links)
+    return 1.0 - marcum_q1(np.sqrt(2.0 * a * a / links), np.sqrt(2.0 * s / links))
 
 
 def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
@@ -252,37 +265,36 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     one call, and requires a = 0; approximate mode uses the exponential
     (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
     """
-    if n_avail < 1:
-        raise ValueError(f"n_avail must be >= 1, got {n_avail}")
-    return _like(_static_fixed(n_avail, _snr(_checked(rate, "rate")), a, mode), rate)
+    links = np.array([_link_count(n_avail, 1)])
+    return _like(_static_fixed(links, _snr(_checked(rate, "rate")), a, mode)[..., 0], rate)
 
 
 def outage_static(
     scenario: Scenario, rate, mode: CapacityMethod = CapacityMethod.APPROX_EI
 ):
     """Outage at each rate with static phases, averaged over the link-count
-    law.
+    law: sum_k Pr(K = k) F_k(R).
 
-    The zero-link term is the deterministic LOS-only channel, an outage
-    exactly when rate exceeds log2(1+a^2) (strict).
+    One pass builds the float grid of F_k at every rate for every link
+    count k of positive weight, a rates x (n+1) temporary at most: one
+    broadcast without LOS, one Marcum-Q call over the whole grid with LOS,
+    and one phasor-sum cdf call per link count in exact mode. The zero-link
+    column is the deterministic LOS-only channel, an outage exactly when
+    the rate exceeds log2(1+a^2) (strict). Each rate's row is weighted and
+    summed on its own (pairwise), so a rate gives the same bits alone or
+    in any array. A row whose every term is 1 is exactly 1.
     """
     r = _checked(rate, "rate")
-    dist = scenario.link_count_distribution()
+    pmf = scenario.link_count_distribution().pmf
     a = scenario.los_amplitude
-    snr = _snr(r)
-    total = np.where(r > np.log2(1.0 + a * a), dist.pmf[0], 0.0)
-    certain = total == dist.pmf[0]  # every positive-weight term so far is 1
-    checking = certain.any()  # a scalar rate stops checking at its first term < 1
-    for i in range(1, dist.support_max + 1):
-        w = dist.pmf[i]
-        if w == 0.0:
-            continue
-        fixed = _static_fixed(i, snr, a, mode)
-        if checking:
-            certain &= fixed == 1.0
-            checking = certain.any()
-        total = total + w * fixed
-    return _like(np.where(certain, 1.0, np.minimum(1.0, total)), rate)
+    weighted = np.flatnonzero(pmf)
+    links = weighted[weighted > 0]
+    fixed = _static_fixed(links, _snr(r), a, mode)
+    if pmf[0] > 0.0:
+        los_only = r > np.log2(1.0 + a * a)
+        fixed = np.concatenate((los_only[..., None], fixed), axis=-1)
+    total = (fixed * pmf[weighted]).sum(axis=-1)
+    return _like(np.where((fixed == 1.0).all(axis=-1), 1.0, np.minimum(1.0, total)), rate)
 
 
 def outage_perfect(scenario: Scenario, rate):

@@ -75,8 +75,8 @@ def marcum_q1(a, b):
 
     a and b broadcast; a float for scalar arguments, else an array."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if (a < 0).any() or (b < 0).any():
-        raise ValueError(f"arguments must be nonnegative, got a={a}, b={b}")
+    if not (np.all(a >= 0) and np.all(b >= 0)):
+        raise ValueError(f"arguments must be numbers >= 0, got a={a}, b={b}")
     b2 = b * b
     q = np.where(a == 0, np.exp(-0.5 * b2), stats.ncx2.sf(b2, 2, a * a).clip(0.0, 1.0))
     q = np.where(b == 0, 1.0, q)

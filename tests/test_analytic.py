@@ -76,6 +76,14 @@ class TestErgCapacityNlos:
         with pytest.raises(ValueError):
             erg_capacity_nlos(-1, APPROX)
 
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_fractional_rejected(self, method):
+        # 2.5 links used to give C(2) (exact) or E(1/2.5)/ln 2 (approx)
+        for n in (2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                erg_capacity_nlos(n, method)
+        assert erg_capacity_nlos(np.int64(2), method) == erg_capacity_nlos(2, method)
+
 
 class TestErgCapacityLos:
     def test_zero_links(self):
@@ -90,6 +98,13 @@ class TestErgCapacityLos:
             assert erg_capacity_los(n, 1e-6) == pytest.approx(
                 erg_capacity_nlos(n, APPROX), abs=1e-10
             )
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_fractional_rejected(self, method):
+        for a in (0.0, 2.0):
+            with pytest.raises(ValueError, match="whole number"):
+                erg_capacity_los(2.5, a, method)
+            assert erg_capacity_los(np.int64(3), a, method) == erg_capacity_los(3, a, method)
 
     def test_monotone_in_n_and_a(self):
         caps = [erg_capacity_los(n, 2.0) for n in range(0, 10)]
@@ -243,8 +258,24 @@ class TestOutageStaticFixed:
             1 - np.exp(-1 / 20), rel=1e-12
         )
 
+    def test_approx_nlos_low_outage(self):
+        # 1 - exp(-x) keeps only ~4 digits of x = 1e-12; -expm1(-x) keeps all
+        rate = np.log1p(20e-12) / np.log(2.0)
+        x = (np.power(2.0, rate) - 1.0) / 20
+        assert outage_static_fixed(20, rate, 0.0, APPROX) == pytest.approx(
+            x * (1.0 - 0.5 * x), rel=1e-14, abs=0.0)
+
     def test_los_zero_rate(self):
         assert outage_static_fixed(7, 0.0, 2.0, APPROX) == 0.0
+
+    @pytest.mark.parametrize("method, a", [(EXACT, 0.0), (APPROX, 0.0), (APPROX, 2.0)])
+    def test_fractional_rejected(self, method, a):
+        # exact mode used to return NaN for 2.5 links, with a RuntimeWarning
+        for n in (2.5, np.nan):
+            with pytest.raises(ValueError, match="whole number"):
+                outage_static_fixed(n, 1.0, a, method)
+        assert outage_static_fixed(np.int64(3), 1.0, a, method) == outage_static_fixed(
+            3, 1.0, a, method)
 
     def test_exact_requires_nlos(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,13 @@ dict round-trips."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasehop import analytic
 from phasehop.analytic import (
+    CapacityMethod,
     eps_capacity,
     erg_capacity_los,
     outage_hopping,
@@ -108,6 +111,43 @@ def test_matches_per_rate_loop(sc, rates):
         np.testing.assert_allclose(curve, loop, rtol=0, atol=1e-15)
     else:
         np.testing.assert_array_equal(curve, loop)
+
+
+# links 0, 1, 5 and 6 have zero weight: K is 2 plus a Binomial(2, 1/2)
+ZERO_WEIGHT_LAW = (1.0, 1.0, 0.0, 0.5, 0.5, 0.0)
+GRID_RATES = np.concatenate((np.linspace(0.0, 6.0, 61), [1e-9, 40.0, 1e3]))
+
+
+@pytest.mark.parametrize("a, method", [(0.0, CapacityMethod.APPROX_EI),
+                                       (0.0, CapacityMethod.EXACT_HANKEL),
+                                       (1.5, CapacityMethod.APPROX_EI)])
+def test_static_grid_with_zero_weight_links(a, method):
+    sc = Scenario(6, ZERO_WEIGHT_LAW, a, Scheme.STATIC)
+    curve = outage_static(sc, GRID_RATES, method)
+    np.testing.assert_array_equal(
+        curve, [outage_static(sc, float(r), method) for r in GRID_RATES])
+    if method is CapacityMethod.APPROX_EI:
+        np.testing.assert_allclose(
+            curve, [loop_outage(sc, float(r)) for r in GRID_RATES], rtol=0, atol=1e-15)
+    assert outage_static(sc, np.inf, method) == 1.0
+    np.testing.assert_array_equal(outage_static(sc, [np.inf, 0.0], method), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("n, p", [(6, ZERO_WEIGHT_LAW), (20, 0.5), (64, 0.3)])
+def test_static_los_one_marcum_call(monkeypatch, n, p):
+    calls = []
+
+    def counted(a, b):
+        calls.append(np.shape(b))
+        return marcum_q1(a, b)
+
+    monkeypatch.setattr(analytic, "marcum_q1", counted)
+    sc = Scenario(n, p, 1.5, Scheme.STATIC)
+    for rates in (1.0, np.linspace(0.0, 8.0, 500)):
+        calls.clear()
+        outage_static(sc, rates)
+        assert len(calls) == 1
+        assert calls[0][0] == np.size(rates)
 
 
 @SETTINGS

@@ -76,8 +76,10 @@ class TestMarcumQ1:
             assert marcum_q1(a + d, b) >= marcum_q1(a, b) - 1e-12
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            marcum_q1(-1.0, 1.0)
+        # NaN is rejected like a negative argument, not returned
+        for a, b in [(-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan), ([1.0, np.nan], 2.0)]:
+            with pytest.raises(ValueError):
+                marcum_q1(a, b)
 
     def test_array_matches_scalar(self):
         a = np.array([0.0, 0.0, 1.0, 2.5, 7.5])
