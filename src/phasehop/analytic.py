@@ -1,29 +1,30 @@
-"""Closed-form and quadrature-based capacities and outage probabilities.
+"""Closed-form capacities and outage probabilities.
 
 Covers the ergodic capacity under phase hopping (exact via the phasor-sum
-law and approximate via the exponential integral), the outage mixtures
-over the random link count for all four schemes, eps-outage capacities,
-and the general-fading outage approximation.
+law and approximate via its Gaussian counterpart, both one K1-weighted
+Gauss-Legendre sum), the outage mixtures over the random link count for
+all four schemes, eps-outage capacities, and the general-fading outage
+approximation.
 
-Outage and eps-capacity take a float or an array of rates (or eps) and
-return a float or an array of the same shape, by one code path. A NaN or
-negative rate raises ValueError; a rate too large for 2^R is an outage.
-Outage is Pr(C < R): a rate on a capacity plateau is not an outage.
+Capacities take a whole number or an array of link counts, outage and
+eps-capacity a float or an array of rates (or eps); each returns a float
+or an array of the same shape, by one code path. A NaN or negative rate
+raises ValueError; a rate too large for 2^R is an outage. Outage is
+Pr(C < R): a rate on a capacity plateau is not an outage.
 """
 from __future__ import annotations
 
 import enum
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
 from .model import Scenario, Scheme
-from .specfun import cal_e, cal_e_inverse, marcum_q1, quantile
+from .specfun import cal_e, cal_e_inverse, marcum_q1, quantile, whole_numbers
 
 __all__ = [
     "CapacityMethod",
@@ -43,30 +44,33 @@ _LN2 = np.log(2.0)
 
 
 class CapacityMethod(enum.Enum):
-    """Exact phasor-sum law vs the exponential-integral approximation.
+    """Exact phasor-sum law vs its Gaussian approximation.
 
-    For ergodic capacity the exact member integrates the characteristic
-    function J0(t)^n of the phasor sum against K1 (any LOS amplitude); for
-    static-phase outage it selects the Fourier-Bessel phasor-sum cdf (NLOS
-    only), and the approximate member the Rayleigh/Rician tail forms.
+    For ergodic capacity both members integrate a characteristic function
+    against K1 (any LOS amplitude): the exact member that of the phasor
+    sum, J0(t)^n, the approximate member that of the Gaussian CN(0, n),
+    e^{-n t^2/4}, which at a = 0 is the exponential-integral closed form
+    E(1/n)/ln 2. For static-phase outage the exact member selects the
+    Fourier-Bessel phasor-sum cdf (NLOS only), and the approximate member
+    the Rayleigh/Rician tail forms.
     """
 
     EXACT_HANKEL = "exact"
     APPROX_EI = "approx"
 
 
-# Exact-capacity rule: Gauss-Legendre of order _K1_ORDER on panels a
-# quarter period of J0(k t) wide up to t = 14.5 pi, where K1(t) < 1e-20,
-# with the first panel split geometrically _K1_GRADING times towards
-# t = 0, where K1 has its 1/t and t log t terms.
+# Capacity rule: Gauss-Legendre of order _K1_ORDER on panels a quarter
+# period of J0(k t) wide up to t = 14.5 pi, where K1(t) < 1e-20, with the
+# first panel split geometrically _K1_GRADING times towards t = 0, where
+# K1 has its 1/t and t log t terms.
 _K1_ORDER = 16
 _K1_GRADING = 8
 
 
 @functools.lru_cache(maxsize=16)
 def _k1_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and weights (2/ln 2) K1(t) w of the exact-capacity rule,
-    which resolves J0(a t) for every a <= k."""
+    """Nodes t and weights (2/ln 2) K1(t) w of the capacity rule, which
+    resolves J0(a t) for every a <= k."""
     h = np.pi / (2 * k)
     edges = np.concatenate(([0.0], h * 2.0 ** np.arange(-_K1_GRADING, 0),
                             h * np.arange(1, 29 * k + 1)))
@@ -79,88 +83,58 @@ def _k1_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, weights
 
 
-def _capacity_exact(n: int, a: float) -> np.ndarray:
-    """Exact ergodic capacities C(0), ..., C(n) in bits with LOS amplitude a:
-    C(i, a) = (2/ln 2) * integral_0^inf (1 - J0(a t) J0(t)^i) K1(t) dt,
+@functools.lru_cache(maxsize=256)
+def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
+    """Read-only ergodic capacities C(0), ..., C(n) in bits with LOS
+    amplitude a, strictly increasing:
+    C(k, a) = (2/ln 2) * integral_0^inf (1 - J0(a t) phi_k(t)) K1(t) dt,
     from ln(1 + r^2) = 2 * integral_0^inf (1 - J0(r t)) K1(t) dt and the
-    characteristic function J0(t)^i of the sum of i unit phasors."""
-    t, w = _k1_rule(max(1, math.ceil(a)))
-    rows = 1.0 - special.j0(a * t) * special.j0(t) ** np.arange(n + 1)[:, None]
-    # each row summed on its own (pairwise), so C(i) is the same number in
-    # every table that holds it
-    caps = (rows * w).sum(axis=1)
-    caps[0] = np.log2(1.0 + a * a)  # no phasors: the LOS channel alone
-    return caps
+    characteristic function J0(a t) phi_k(t) of the LOS phasor plus k
+    links: phi_k = J0(t)^k for k unit phasors (exact) or e^{-k t^2/4} for
+    CN(0, k) (approximate, E(1/k)/ln 2 in closed form at a = 0)."""
+    if method is CapacityMethod.APPROX_EI and a == 0.0:
+        table = np.array([0.0] + [cal_e(1.0 / k) / _LN2 for k in range(1, n + 1)])
+    else:
+        t, w = _k1_rule(max(1, math.ceil(a)))
+        k = np.arange(n + 1)[:, None]
+        # phi_k unnamed, so numpy reuses its buffer for the product
+        rows = 1.0 - special.j0(a * t) * (
+            special.j0(t) ** k if method is CapacityMethod.EXACT_HANKEL
+            else np.exp(-0.25 * k * (t * t)))
+        # each row summed on its own (pairwise), so C(k) is the same number
+        # in every table that holds it. A one-row power would take numpy's
+        # x*x fast path at k = 2, 1 ulp off the general one, so single
+        # link counts are served from a table too.
+        table = (rows * w).sum(axis=1)
+        table[0] = np.log2(1.0 + a * a)  # no links: the LOS channel alone
+    table.setflags(write=False)
+    return table
 
 
-def _link_count(n_avail, least: int) -> int:
-    """n_avail as an int; ValueError unless it is a whole number >= least."""
-    if not (n_avail >= least and float(n_avail).is_integer()):
-        raise ValueError(f"n_avail must be a whole number >= {least}, got {n_avail}")
-    return int(n_avail)
+def _capacities(n_avail, a: float, method: CapacityMethod):
+    """C(k, a) for each whole link count k in n_avail, from the table up
+    to the largest."""
+    k = np.atleast_1d(whole_numbers(n_avail, 0, "n_avail"))
+    table = _capacity_table(int(k.max(initial=0)), float(a), method)
+    return _like(table[k], n_avail)
 
 
-def erg_capacity_nlos(n_avail: int, method: CapacityMethod) -> float:
-    """Ergodic capacity in bits under phase hopping with n_avail NLOS links."""
-    n = _link_count(n_avail, 0)
-    if method is CapacityMethod.EXACT_HANKEL:
-        return float(_capacity_table(n, 0.0, method)[-1])
-    if n == 0:
-        return 0.0
-    return cal_e(1.0 / n) / _LN2
-
-
-@functools.lru_cache(maxsize=4096)
-def _capacity_los(n: int, a: float) -> float:
-    if n == 0:
-        return float(np.log2(1.0 + a * a))
-    tol = 1e-12
-    s_max = (a + np.sqrt(n * np.log(1.0 / tol))) ** 2 + 10.0
-
-    def integrand(s):
-        # e^{-(a^2+s)/n} I0(2a sqrt(s)/n) written with the scaled Bessel
-        # function so large arguments cannot overflow
-        r = np.sqrt(s)
-        return (
-            np.log2(1.0 + s) / n
-            * np.exp(-((r - a) ** 2) / n)
-            * special.i0e(2.0 * a * r / n)
-        )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(
-            integrand, 0.0, s_max, limit=400, epsabs=1e-10, epsrel=1e-10
-        )
-    return float(val)
+def erg_capacity_nlos(n_avail, method: CapacityMethod):
+    """Ergodic capacity in bits under phase hopping with n_avail NLOS
+    links: a float for a whole number, an array for an array of them."""
+    return _capacities(n_avail, 0.0, method)
 
 
 def erg_capacity_los(
-    n_avail: int, a: float, method: CapacityMethod = CapacityMethod.APPROX_EI
-) -> float:
-    """Ergodic capacity in bits under phase hopping with a LOS component of
-    amplitude a: exact by the phasor-sum characteristic function, or
-    approximate by averaging the noncentral chi-square gain law. At a = 0
-    it is erg_capacity_nlos."""
-    n = _link_count(n_avail, 0)
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if a == 0.0:
-        return erg_capacity_nlos(n, method)
-    if method is CapacityMethod.EXACT_HANKEL:
-        return float(_capacity_table(n, float(a), method)[-1])
-    return _capacity_los(n, float(a))
-
-
-@functools.lru_cache(maxsize=256)
-def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
-    """Read-only ergodic capacities C(0), ..., C(n), strictly increasing."""
-    if method is CapacityMethod.EXACT_HANKEL:
-        table = _capacity_exact(n, a)
-    else:
-        table = np.array([erg_capacity_los(i, a, method) for i in range(n + 1)])
-    table.setflags(write=False)
-    return table
+    n_avail, a: float, method: CapacityMethod = CapacityMethod.APPROX_EI
+):
+    """Ergodic capacity in bits under phase hopping with n_avail links and
+    a LOS component of finite amplitude a: exact by the phasor-sum
+    characteristic function, or approximate by the Gaussian one. A float
+    for a whole number, an array for an array of them."""
+    if not 0.0 <= a < np.inf:
+        raise ValueError(f"a must be a finite number >= 0, got {a}")
+    return _capacities(n_avail, a, method)
 
 
 def _checked(values, name: str) -> np.ndarray:
@@ -265,7 +239,7 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     one call, and requires a = 0; approximate mode uses the exponential
     (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
     """
-    links = np.array([_link_count(n_avail, 1)])
+    links = np.array([int(whole_numbers(n_avail, 1, "n_avail"))])
     return _like(_static_fixed(links, _snr(_checked(rate, "rate")), a, mode)[..., 0], rate)
 
 
@@ -338,9 +312,10 @@ def outage_general_fading(rate: float, sigma2_cdf: EmpiricalCdf) -> float:
     """Outage under phase hopping for a general fading law of the summed
     link power sigma^2: the cdf evaluated at 1 / (2 E^{-1}(R ln 2)) where
     E(x) = -e^x Ei(-x)."""
-    if rate <= 0:
+    r = _checked(rate, "rate").item()
+    if r == 0.0:
         return sigma2_cdf(0.0)
-    return sigma2_cdf(1.0 / (2.0 * cal_e_inverse(rate * _LN2)))
+    return sigma2_cdf(1.0 / (2.0 * cal_e_inverse(r * _LN2)))
 
 
 def min_outage(scenario: Scenario) -> float:

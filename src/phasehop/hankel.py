@@ -22,6 +22,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
+from .specfun import whole_numbers
+
 __all__ = ["AccuracyWarning", "hankel_transform", "PhasorSumDistribution"]
 
 
@@ -186,8 +188,7 @@ class PhasorSumDistribution:
     n_links: int
 
     def __post_init__(self):
-        if self.n_links < 1:
-            raise ValueError(f"n_links must be >= 1, got {self.n_links}")
+        whole_numbers(self.n_links, 1, "n_links")
 
     def _check_domain(self, s):
         if not np.all((0.0 <= s) & (s <= self.n_links)):

@@ -54,8 +54,9 @@ class Scenario:
             )
         if np.any(p < 0) or np.any(p > 1):
             raise ValueError("connection probabilities must lie in [0, 1]")
-        if self.los_amplitude < 0:
-            raise ValueError(f"los_amplitude must be >= 0, got {self.los_amplitude}")
+        if not 0.0 <= self.los_amplitude < np.inf:
+            raise ValueError(
+                f"los_amplitude must be a finite number >= 0, got {self.los_amplitude}")
         if self.scheme is Scheme.QUANTIZED:
             if self.quant_levels is None or self.quant_levels < 2:
                 raise ValueError("quantized scheme requires quant_levels >= 2")

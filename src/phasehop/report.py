@@ -117,16 +117,15 @@ def _jsonable(obj):
 
 
 def _build_erg_cap_compare(p):
-    n_max = int(p["n_max"])
-    ns = np.arange(1, n_max + 1)
-    exact = analytic._capacity_table(n_max, 0.0, CapacityMethod.EXACT_HANKEL)[1:]
-    approx = [analytic.erg_capacity_nlos(int(n), CapacityMethod.APPROX_EI) for n in ns]
-    return {"n": ns, "exact": exact, "approx": approx}
+    ns = np.arange(1, int(p["n_max"]) + 1)
+    return {"n": ns,
+            "exact": analytic.erg_capacity_nlos(ns, CapacityMethod.EXACT_HANKEL),
+            "approx": analytic.erg_capacity_nlos(ns, CapacityMethod.APPROX_EI)}
 
 
 def _build_erg_cap_los(p):
     ns = np.arange(0, p["n"] + 1)
-    ana = [analytic.erg_capacity_los(int(n), p["a"]) for n in ns]
+    ana = analytic.erg_capacity_los(ns, p["a"])
     mc = []
     for n in ns:
         if n == 0:

@@ -18,6 +18,7 @@ __all__ = [
     "binomial",
     "poisson_binomial",
     "quantile",
+    "whole_numbers",
 ]
 
 
@@ -68,6 +69,22 @@ def cal_e_inverse(y: float) -> float:
         if hi > 1e300:
             raise ValueError(f"y={y} out of representable range")
     return float(optimize.brentq(lambda x: cal_e(x) - y, lo, hi, xtol=1e-14))
+
+
+def whole_numbers(values, least: int, name: str):
+    """values as an int for a scalar, an int64 array for an array;
+    ValueError unless every entry is a whole number >= least (not NaN, inf
+    or 2.5). A scalar is checked in Python floats, many times faster than
+    as an array: exact static outage checks one per link count and call."""
+    scalar = np.isscalar(values)
+    if scalar:
+        whole = values >= least and float(values).is_integer()
+    else:
+        x = np.asarray(values, dtype=float)
+        whole = np.all((x >= least) & (x < np.inf) & (x == np.floor(x)))
+    if not whole:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {values}")
+    return int(values) if scalar else x.astype(np.int64)
 
 
 def marcum_q1(a, b):

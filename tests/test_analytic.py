@@ -90,14 +90,33 @@ class TestErgCapacityLos:
         assert erg_capacity_los(0, 3.0) == pytest.approx(np.log2(10), abs=1e-12)
 
     def test_nlos_reduction(self):
-        # a = 0 is the closed form itself; the quadrature at a small a > 0
-        # stays within its 1e-10 error budget of it (measured <= 1.1e-11
-        # for n <= 100 at a = 1e-6)
+        # a = 0 is the Ei closed form itself. At a = 1e-8 the K1 sum of the
+        # Gaussian characteristic function differs from it by the rule's
+        # error alone (measured <= 7.8e-16 for these n): the capacity
+        # itself moves by dC/d(a^2) * 1e-16 < 6e-17
         for n in (1, 4, 12):
             assert erg_capacity_los(n, 0.0) == erg_capacity_nlos(n, APPROX)
-            assert erg_capacity_los(n, 1e-6) == pytest.approx(
-                erg_capacity_nlos(n, APPROX), abs=1e-10
+            assert erg_capacity_los(n, 1e-8) == pytest.approx(
+                erg_capacity_nlos(n, APPROX), rel=0, abs=1e-15
             )
+
+    # 30-digit mpmath 1.3.0 references of the approximate capacity, rounded
+    # to 17 digits: mp.dps = 30 and mp.quad of
+    # log2(1+s) (1/n) e^{-(s+a^2)/n} I0(2 a sqrt(s)/n) over s, split at
+    # mp.linspace(0, (a + sqrt(120 n))^2, 40) (a 40-digit run on 80 panels
+    # agrees to 25 digits)
+    @pytest.mark.parametrize("n, a, ref", [
+        (1, 0.5, 1.0013293795734770), (6, 2.0, 2.9614145862431273),
+        (20, 3.0, 4.2555594431448124), (100, 5.0, 6.2101716545010087)])
+    def test_approx_references(self, n, a, ref):
+        assert erg_capacity_los(n, a) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_non_finite_amplitude_rejected(self, method):
+        # inf used to give 0.0 and NaN gave NaN
+        for a in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                erg_capacity_los(3, a, method)
 
     @pytest.mark.parametrize("method", [EXACT, APPROX])
     def test_fractional_rejected(self, method):
@@ -411,6 +430,14 @@ class TestGeneralFading:
             assert outage_general_fading(float(r), sigma2) == pytest.approx(
                 outage_hopping(HOP20, float(r)), abs=1e-12
             )
+
+    def test_rate_contract(self):
+        # -1 used to give the cdf at 0, NaN a scipy root-finding error
+        sigma2 = EmpiricalCdf(np.array([10.0]), np.array([1.0]))
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="rate must be a number >= 0"):
+                outage_general_fading(bad, sigma2)
+        assert outage_general_fading(0.0, sigma2) == 0.0
 
     def test_degenerate_threshold(self):
         c20 = cal_e(0.05) / np.log(2)

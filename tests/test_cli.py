@@ -200,6 +200,19 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("args", [
+        ("capacity", "--links", "3", "--a", "inf"),
+        ("capacity", "--links", "3", "--a", "nan"),
+        ("outage", "--n", "20", "--p", "0.5", "--a", "nan", "--rate", "1"),
+        ("eps-capacity", "--n", "20", "--p", "0.5", "--a", "inf", "--eps", "0.1"),
+    ])
+    def test_non_finite_amplitude(self, capsys, args):
+        # these printed 0.0000, nan or 0.00000e+00 with exit 0
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_missing_scenario(self, capsys):
         code, _, err = run_cli(capsys, "eps-capacity", "--eps", "0.1")
         assert code == 2

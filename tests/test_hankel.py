@@ -60,6 +60,14 @@ class TestPhasorSumDistribution:
         with pytest.raises(ValueError):
             PhasorSumDistribution(0)
 
+    def test_fractional_links_rejected(self):
+        # 2.5 and 3.5 links used to give a NaN cdf
+        for n in (2.5, 3.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="whole number"):
+                PhasorSumDistribution(n)
+        assert PhasorSumDistribution(np.int64(3)).cdf(1.0) == PhasorSumDistribution(
+            3).cdf(1.0)
+
     def test_domain_error(self):
         d = PhasorSumDistribution(3)
         with pytest.raises(ValueError):

@@ -36,8 +36,9 @@ class TestScenario:
             Scenario(5, 1.5)
         with pytest.raises(ValueError):
             Scenario(5, (0.5, 0.5))  # wrong length
-        with pytest.raises(ValueError):
-            Scenario(5, 0.5, los_amplitude=-1.0)
+        for a in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="los_amplitude"):
+                Scenario(5, 0.5, los_amplitude=a)
         with pytest.raises(ValueError):
             Scenario(5, 0.5, scheme=Scheme.QUANTIZED)  # missing levels
         with pytest.raises(ValueError):

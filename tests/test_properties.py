@@ -13,6 +13,7 @@ from phasehop.analytic import (
     CapacityMethod,
     eps_capacity,
     erg_capacity_los,
+    erg_capacity_nlos,
     outage_hopping,
     outage_perfect,
     outage_static,
@@ -76,6 +77,23 @@ def test_eps_capacity_array_is_scalar(sc, eps):
 @given(scenarios(Scheme.STATIC, n_max=8), eps_arrays(3))
 def test_static_eps_capacity_array_is_scalar(sc, eps):
     _same_as_scalar(eps_capacity, sc, eps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(CapacityMethod)), st.sampled_from([0.0, 1.5, 3.0]),
+       st.lists(st.integers(0, 80), min_size=1, max_size=8).map(np.array))
+def test_capacity_array_is_scalar_and_table(method, a, links):
+    caps = erg_capacity_los(links, a, method)
+    scalar = [erg_capacity_los(int(k), a, method) for k in links]
+    assert all(isinstance(v, float) for v in scalar)
+    assert caps.shape == links.shape
+    np.testing.assert_array_equal(caps, scalar)
+    for n in (int(links.max()), 80, 256):
+        np.testing.assert_array_equal(caps, analytic._capacity_table(n, a, method)[links])
+    if a == 0.0:
+        np.testing.assert_array_equal(erg_capacity_nlos(links, method), caps)
+    with pytest.raises(ValueError, match="whole number"):
+        erg_capacity_los(np.append(links, 2.5), a, method)
 
 
 def loop_outage(sc, rate: float) -> float:
