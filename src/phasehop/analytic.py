@@ -93,7 +93,7 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
     links: phi_k = J0(t)^k for k unit phasors (exact) or e^{-k t^2/4} for
     CN(0, k) (approximate, E(1/k)/ln 2 in closed form at a = 0)."""
     if method is CapacityMethod.APPROX_EI and a == 0.0:
-        table = np.array([0.0] + [cal_e(1.0 / k) / _LN2 for k in range(1, n + 1)])
+        table = np.concatenate(([0.0], cal_e(1.0 / np.arange(1, n + 1)) / _LN2))
     else:
         t, w = _k1_rule(max(1, math.ceil(a)))
         k = np.arange(n + 1)[:, None]
@@ -303,19 +303,24 @@ class EmpiricalCdf:
         s = np.sort(np.asarray(samples, dtype=float))
         return cls(s, np.arange(1, s.size + 1) / s.size)
 
-    def __call__(self, x: float) -> float:
-        idx = int(np.searchsorted(self.x, x, side="right"))
-        return 0.0 if idx == 0 else float(self.f[idx - 1])
+    def __call__(self, x):
+        """F at each x, a float or an array like x; NaN raises ValueError."""
+        v = np.atleast_1d(np.asarray(x, dtype=float))
+        if np.isnan(v).any():
+            raise ValueError(f"x must be a number, got {x}")
+        idx = np.searchsorted(self.x, v, side="right")
+        return _like(np.where(idx == 0, 0.0, self.f[idx - 1]), x)
 
 
-def outage_general_fading(rate: float, sigma2_cdf: EmpiricalCdf) -> float:
-    """Outage under phase hopping for a general fading law of the summed
-    link power sigma^2: the cdf evaluated at 1 / (2 E^{-1}(R ln 2)) where
-    E(x) = -e^x Ei(-x)."""
-    r = _checked(rate, "rate").item()
-    if r == 0.0:
-        return sigma2_cdf(0.0)
-    return sigma2_cdf(1.0 / (2.0 * cal_e_inverse(r * _LN2)))
+def outage_general_fading(rate, sigma2_cdf: EmpiricalCdf):
+    """Outage under phase hopping at each rate for a general fading law of
+    the summed link power sigma^2: the cdf at 1 / (2 E^{-1}(R ln 2)), where
+    E(x) = -e^x Ei(-x), at 0 for R = 0 and at inf past R ~ 1073."""
+    y = _checked(rate, "rate") * _LN2
+    threshold = np.zeros_like(y)
+    with np.errstate(over="ignore"):
+        threshold[y > 0] = 1.0 / (2.0 * cal_e_inverse(y[y > 0]))
+    return _like(sigma2_cdf(threshold), rate)
 
 
 def min_outage(scenario: Scenario) -> float:

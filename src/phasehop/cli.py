@@ -108,7 +108,7 @@ def _merged_scenario(args) -> tuple[Scenario, dict]:
 
 
 def _method(args, cfg=None) -> CapacityMethod:
-    name = getattr(args, "method", None) or (cfg or {}).get("method") or "approx"
+    name = args.method or (cfg or {}).get("method") or "approx"
     return CapacityMethod(name)
 
 
@@ -132,7 +132,6 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--a", type=float, help="LOS amplitude (0 = NLOS)")
     p.add_argument("--scheme", choices=["hopping", "quantized", "static", "perfect"])
     p.add_argument("--k", type=int, help="quantization levels")
-    p.add_argument("--method", choices=["exact", "approx"])
 
 
 def _cmd_capacity(args) -> int:
@@ -206,10 +205,7 @@ def _cmd_figure(args) -> int:
             overrides = json.loads(args.overrides)
         except json.JSONDecodeError as exc:
             raise CliError(f"invalid --overrides JSON: {exc}") from exc
-    try:
-        dataset = report.build_figure(fid, overrides)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    dataset = report.build_figure(fid, overrides)
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, fid.value)
     report.write_csv(dataset.columns, base + ".csv")
@@ -233,6 +229,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("outage", help="outage probability at a rate or rate grid")
     _add_scenario_flags(p)
+    p.add_argument("--method", choices=["exact", "approx"])
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rate", type=float, help="single rate, bits")
     group.add_argument("--rate-grid", help="lo:hi:step sweep")
@@ -241,6 +238,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eps-capacity", help="eps-outage capacity")
     _add_scenario_flags(p)
+    p.add_argument("--method", choices=["exact", "approx"])
     p.add_argument("--eps", type=float, required=True,
                    help="tolerated outage probability")
     p.set_defaults(func=_cmd_eps_capacity)

@@ -4,7 +4,7 @@ The distribution function of the sum of n unit phasors is a Fourier-Bessel
 series over the zeros of J1 (Barakat 1974, Optica Acta 21), evaluated for
 a whole array of amplitudes at once; n = 1 and n = 2 are closed forms.
 
-The Hankel transform serves the density for n >= 3 and is the test
+The Hankel transform serves the density for n >= 4 and is the test
 oracle of the series. Its integrands (powers of J0 against another Bessel
 kernel) are oscillatory and at small link counts only conditionally
 convergent, so it splits the axis into blocks tied to the kernel's
@@ -195,13 +195,20 @@ class PhasorSumDistribution:
             raise ValueError(f"s={s} outside support [0, {self.n_links}]")
 
     def pdf(self, s: float) -> float:
-        """Density at s, clamped to be nonnegative: closed form for n <= 2,
+        """Density at s, clamped to be nonnegative: closed form for n <= 3,
         Hankel quadrature otherwise."""
         self._check_domain(s)
         if self.n_links == 1:
             return 0.0
         if self.n_links == 2:
             return np.inf if s == 2.0 else 2.0 / (np.pi * math.sqrt(4.0 - s * s))
+        if self.n_links == 3:
+            # (4s / (pi^2 sqrt(d))) K(m), 1 - m = |1-s|^3 (3+s) / d: Borwein's
+            # 2F1 form made elliptic, exact up to the log singularity at s = 1,
+            # where the 2F1 argument rounds to 1 and scipy's hyp2f1 fails
+            d = max(16.0 * s, (3.0 - s) * (1.0 + s) ** 3)
+            return float(4.0 * s / (np.pi ** 2 * math.sqrt(d))
+                         * special.ellipkm1(abs(1.0 - s) ** 3 * (3.0 + s) / d))
         if s == 0.0 or s == self.n_links:
             return 0.0
         val = s * hankel_transform(_j0_power(self.n_links), 0, s)

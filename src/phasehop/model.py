@@ -33,8 +33,8 @@ class Scenario:
 
     link_probs is either a scalar p applied to all elements or a length-n
     vector of per-element connection probabilities. los_amplitude = 0
-    encodes the NLOS case. quant_levels is only meaningful for the
-    quantized scheme.
+    encodes the NLOS case. quant_levels is required by the quantized
+    scheme and rejected by the others.
     """
 
     n_elements: int
@@ -60,6 +60,8 @@ class Scenario:
         if self.scheme is Scheme.QUANTIZED:
             if self.quant_levels is None or self.quant_levels < 2:
                 raise ValueError("quantized scheme requires quant_levels >= 2")
+        elif self.quant_levels is not None:
+            raise ValueError(f"{self.scheme.value} scheme takes no quant_levels")
         if isinstance(self.link_probs, (list, np.ndarray)):
             object.__setattr__(self, "link_probs", tuple(float(v) for v in p))
 

@@ -1,14 +1,15 @@
 """Special functions and discrete distributions of the link count.
 
 Everything here is a pure function of its arguments; the heavy lifting is
-delegated to scipy where a well-tested routine exists.
+delegated to scipy where a well-tested routine exists. E(x) = exp(x)E1(x)
+and its inverse take a float or an array, like marcum_q1 and quantile.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special, stats
 
 __all__ = [
     "cal_e",
@@ -22,53 +23,39 @@ __all__ = [
 ]
 
 
-def _e1_scaled_cf(x: float, tol: float = 1e-16, maxiter: int = 1000) -> float:
-    """exp(x)*E1(x) by the Lentz continued fraction, stable for large x."""
-    tiny = 1e-300
-    f = x + 1.0
-    c = f
-    d = 0.0
-    for k in range(1, maxiter):
-        a = -k * k
-        b = x + 2 * k + 1
-        d = b + a * d
-        if d == 0.0:
-            d = tiny
-        c = b + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < tol:
-            break
-    return 1.0 / f
+def cal_e(x):
+    """E(x) = -exp(x)*Ei(-x) = exp(x)*E1(x) at each x > 0, strictly
+    decreasing: a float for a float, else an array of the same shape.
 
-
-def cal_e(x: float) -> float:
-    """E(x) = -exp(x)*Ei(-x) = exp(x)*E1(x); strictly decreasing on (0, inf)."""
-    if x <= 0:
+    Past x = 690, where E1 nears the subnormals, it is the asymptotic
+    series (1/x) sum_k (-1)^k k! / x^k to 8 terms, within 8!/690^8 < 1e-18."""
+    v = np.asarray(x, dtype=float)
+    if not np.all(v > 0.0):
         raise ValueError(f"x must be positive, got {x}")
-    if x <= 1.0:
-        return float(np.exp(x) * special.exp1(x))
-    return _e1_scaled_cf(x)
+    near = np.minimum(v, 690.0)
+    series = np.polynomial.polynomial.polyval(
+        1.0 / np.maximum(v, 690.0), [0, 1, -1, 2, -6, 24, -120, 720, -5040])
+    out = np.where(v <= 690.0, np.exp(near) * special.exp1(near), series)
+    return float(out) if out.ndim == 0 else out
 
 
-def cal_e_inverse(y: float) -> float:
-    """Inverse of cal_e: the unique x > 0 with cal_e(x) = y."""
-    if y <= 0:
+def cal_e_inverse(y):
+    """Inverse of cal_e: the x > 0 with cal_e(x) = y, at each y > 0; a float
+    for a float, else an array of the same shape.
+
+    One bisection of ln x over the positive doubles, [-745, 709.7], with
+    64 halvings for every entry at once; it returns the upper end, so a y
+    past E(5e-324) ~ 744 (inf included) gives 5e-324."""
+    t = np.asarray(y, dtype=float)
+    if not np.all(t > 0.0):
         raise ValueError(f"y must be positive, got {y}")
-    # bracket by doubling/halving around x = 1 (cal_e is decreasing)
-    lo, hi = 1.0, 1.0
-    while cal_e(lo) <= y:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise ValueError(f"y={y} out of representable range")
-    while cal_e(hi) >= y:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError(f"y={y} out of representable range")
-    return float(optimize.brentq(lambda x: cal_e(x) - y, lo, hi, xtol=1e-14))
+    lo, hi = np.full(t.shape, -745.0), np.full(t.shape, 709.7)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = cal_e(np.exp(mid)) > t  # cal_e decreases: the root is above mid
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    x = np.exp(hi)
+    return float(x) if x.ndim == 0 else x
 
 
 def whole_numbers(values, least: int, name: str):

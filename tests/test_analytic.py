@@ -439,6 +439,14 @@ class TestGeneralFading:
                 outage_general_fading(bad, sigma2)
         assert outage_general_fading(0.0, sigma2) == 0.0
 
+    def test_huge_rates_are_outages(self):
+        # rates from about 1000 up used to raise "out of representable range"
+        sigma2 = EmpiricalCdf(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
+        rates = np.array([1000.0, 1100.0, 2000.0, np.inf])
+        np.testing.assert_array_equal(outage_general_fading(rates, sigma2), 1.0)
+        for r in rates:
+            assert outage_general_fading(float(r), sigma2) == 1.0
+
     def test_degenerate_threshold(self):
         c20 = cal_e(0.05) / np.log(2)
         sigma2 = EmpiricalCdf(np.array([10.0]), np.array([1.0]))
@@ -488,3 +496,10 @@ class TestEmpiricalCdf:
     def test_table_validation(self):
         with pytest.raises(ValueError):
             EmpiricalCdf(np.array([0.0, 1.0]), np.array([0.5, 0.4]))
+
+    def test_nan_rejected(self):
+        # NaN used to read the top of the table
+        cdf = EmpiricalCdf.from_samples([3.0, 1.0, 2.0])
+        for bad in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="x must be a number"):
+                cdf(bad)

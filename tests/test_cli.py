@@ -152,6 +152,13 @@ class TestFigure:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_bad_override(self, capsys, tmp_path):
+        # the library's ValueError, printed by main as it is
+        code, out, err = run_cli(capsys, "figure", "--id", "scheme-comparison",
+                                 "--out-dir", str(tmp_path), "--overrides", '{"bogus": 1}')
+        assert (code, out) == (2, "")
+        assert err == "error: unknown override 'bogus' for scheme-comparison\n"
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, capsys, tmp_path):
@@ -208,6 +215,18 @@ class TestErrors:
     ])
     def test_non_finite_amplitude(self, capsys, args):
         # these printed 0.0000, nan or 0.00000e+00 with exit 0
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ("outage", "--n", "20", "--p", "0.5", "--scheme", "hopping", "--k", "4",
+         "--rate", "1"),
+        ("mc", "--n", "6", "--p", "0.5", "--method", "exact"),
+    ])
+    def test_ignored_option(self, capsys, args):
+        # --k outside the quantized scheme and --method on mc were ignored
         code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""

@@ -90,13 +90,40 @@ class TestPhasorSumDistribution:
         assert d.pdf(2.0) == np.inf
 
     def test_accuracy_warning_three_links_at_edge(self):
-        # the n = 3 density tends to sqrt(3) / (2 pi) ~ 0.276 at s = 3, but
-        # the quadrature returns about -2.3 at s = 2.998: flagged, then
-        # clamped to 0
+        # n = 3 is a closed form: no quadrature and no warning. The
+        # quadrature gave about -2.3 at s = 2.998, clamped to 0, and 0 at
+        # s = 3, where the density is sqrt(3) / (2 pi)
         d = PhasorSumDistribution(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
+            # 40-digit mpmath of Borwein's 2F1 form
+            assert d.pdf(2.998) == pytest.approx(0.27575638183486125, rel=1e-14)
+            assert d.pdf(3.0) == pytest.approx(np.sqrt(3) / (2 * np.pi), rel=1e-15)
+            assert d.pdf(1.0) == np.inf  # logarithmic singularity
+            assert d.pdf(0.0) == 0.0
+
+    def test_accuracy_warning_eight_links_at_edge(self):
+        # the density is about 0 near s = 8; the quadrature gives -1.2e-7,
+        # flagged, then clamped to 0
+        d = PhasorSumDistribution(8)
         with pytest.warns(AccuracyWarning, match="markedly negative"):
-            val = d.pdf(2.998)
+            val = d.pdf(7.998)
         assert val == 0.0
+
+    def test_three_link_density(self):
+        # the closed form integrates to the one-integral cdf, and holds its
+        # digits next to s = 1, where the 2F1 argument rounds to 1 and
+        # scipy's hyp2f1 returns ~1e15 (references: 40-digit mpmath of
+        # Borwein's 2F1 form)
+        d = PhasorSumDistribution(3)
+        for s in (0.5, 2.0, 2.9, 3.0):
+            val, _ = integrate.quad(d.pdf, 0.0, s, points=[1.0] if s > 1 else None,
+                                    epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert val == pytest.approx(three_link_cdf(s), abs=1e-13)
+        for s, want in ((1.0 - 1e-9, 3.3602502161996141637),
+                        (1.0 + 1e-9, 3.3602502027624891697),
+                        (1.0 + 2e-7, 2.5550027964616203443)):
+            assert d.pdf(s) == pytest.approx(want, rel=1e-14)
 
     def test_edge_divergence_monotone(self):
         d = PhasorSumDistribution(2)

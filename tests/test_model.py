@@ -44,6 +44,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(5, 0.5, scheme=Scheme.QUANTIZED, quant_levels=1)
 
+    def test_levels_only_for_quantized(self):
+        # quant_levels used to be ignored silently by the other schemes
+        for scheme in (Scheme.HOPPING, Scheme.STATIC, Scheme.PERFECT):
+            with pytest.raises(ValueError, match="scheme takes no quant_levels"):
+                Scenario(20, 0.5, scheme=scheme, quant_levels=4)
+            assert Scenario(20, 0.5, scheme=scheme).quant_levels is None
+
     def test_dict_round_trip(self):
         for sc in (
             Scenario(20, 0.5, 3.0),

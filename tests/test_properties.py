@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from phasehop import analytic
 from phasehop.analytic import (
     CapacityMethod,
+    EmpiricalCdf,
     eps_capacity,
     erg_capacity_los,
     erg_capacity_nlos,
+    outage_general_fading,
     outage_hopping,
     outage_perfect,
     outage_static,
 )
 from phasehop.model import Scenario, Scheme
-from phasehop.specfun import marcum_q1
+from phasehop.specfun import cal_e, cal_e_inverse, marcum_q1
 
 SETTINGS = settings(max_examples=50, deadline=None)
 OUTAGE = {Scheme.HOPPING: outage_hopping, Scheme.QUANTIZED: outage_hopping,
@@ -77,6 +79,25 @@ def test_eps_capacity_array_is_scalar(sc, eps):
 @given(scenarios(Scheme.STATIC, n_max=8), eps_arrays(3))
 def test_static_eps_capacity_array_is_scalar(sc, eps):
     _same_as_scalar(eps_capacity, sc, eps)
+
+
+def _arrays_between(lo, hi):
+    return st.lists(st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi])),
+                    min_size=1, max_size=12).map(np.array)
+
+
+@SETTINGS
+@given(_arrays_between(1e-300, 1e300), _arrays_between(1e-300, 1e3),
+       st.lists(st.floats(0.0, 60.0), min_size=1, max_size=40),
+       st.lists(st.floats(-1.0, 70.0), min_size=1, max_size=12).map(np.array),
+       _arrays_between(0.0, 2000.0))
+def test_general_fading_array_is_scalar(x, y, samples, points, rates):
+    sigma2 = EmpiricalCdf.from_samples(samples)
+    cases = [(cal_e, x), (cal_e_inverse, np.append(y, np.inf)), (sigma2, points),
+             (lambda r: outage_general_fading(r, sigma2), np.append(rates, np.inf))]
+    for f, values in cases:
+        _same_as_scalar(lambda _, v: f(v), None, values)
+        np.testing.assert_array_equal(f(values[:, None]), f(values)[:, None])
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,6 +17,13 @@ class TestCalE:
         assert cal_e(1.0) == pytest.approx(0.596347362323194, abs=1e-10)
         assert cal_e(0.05) == pytest.approx(2.5944, abs=1e-3)
 
+    @pytest.mark.parametrize("x,want", [
+        (1.5, 0.44825666929158295), (10.0, 0.091563333939788082),
+        (700.0, 0.0014265364183008867), (1e4, 9.999000199940024e-5)])
+    def test_references(self, x, want):
+        # 40-digit mpmath: mp.exp(x) * mp.e1(x)
+        assert cal_e(x) == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_asymptotic(self):
         assert cal_e(100.0) == pytest.approx(0.01, rel=0.02)
 
@@ -28,12 +35,17 @@ class TestCalE:
                 assert cal_e(x1) > cal_e(x2)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            cal_e(0.0)
+        # NaN used to return NaN
+        for bad in (0.0, -1.0, np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError):
+                cal_e(bad)
 
     def test_branch_continuity(self):
-        # the series / continued-fraction handover at x = 1
-        assert cal_e(1.0 - 1e-12) == pytest.approx(cal_e(1.0 + 1e-12), rel=1e-9)
+        # the old series / continued-fraction handover at x = 1, and the
+        # exp1 / asymptotic-series handover at x = 690
+        for x in (1.0, 690.0):
+            assert cal_e(x * (1 - 1e-12)) == pytest.approx(cal_e(x * (1 + 1e-12)),
+                                                           rel=1e-9)
 
 
 class TestCalEInverse:
@@ -50,9 +62,25 @@ class TestCalEInverse:
         assert x == pytest.approx(98.0, rel=0.02)
         assert cal_e(x) == pytest.approx(0.01, abs=1e-10)
 
+    @pytest.mark.parametrize("y,want", [
+        (20.0, 1.1572542765303536e-9), (33.0, 2.6157758090269026e-15),
+        (100.0, 2.0886719363262349e-44), (500.0, 4.0001609899617766e-218)])
+    def test_references(self, y, want):
+        # 40-digit mpmath root of mp.exp(x) * mp.e1(x) = y; the old brentq,
+        # with an absolute tolerance on x, was off by 2e-6 to 0.46 here
+        assert cal_e_inverse(y) == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_past_smallest_double(self):
+        # y past E(1e-300) ~ 690 used to raise "out of representable range";
+        # from E(5e-324) ~ 744 up the root is below every positive double
+        tiny = np.nextafter(0.0, 1.0)
+        np.testing.assert_array_equal(cal_e_inverse(np.array([744.0, 1e4, np.inf])),
+                                      [tiny, tiny, tiny])
+
     def test_domain(self):
-        with pytest.raises(ValueError):
-            cal_e_inverse(0.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                cal_e_inverse(bad)
 
 
 class TestMarcumQ1:
