@@ -291,10 +291,10 @@ class EmpiricalCdf:
         f = np.asarray(self.f, dtype=float)
         if x.shape != f.shape or x.ndim != 1 or x.size == 0:
             raise ValueError("x and f must be nonempty 1-d vectors of equal length")
-        if np.any(np.diff(x) < 0):
-            raise ValueError("x must be sorted ascending")
-        if np.any(np.diff(f) < 0) or f[0] < 0 or f[-1] > 1 + 1e-12:
-            raise ValueError("f must be a nondecreasing cdf table in [0, 1]")
+        if np.isnan(x).any() or np.any(np.diff(x) < 0):
+            raise ValueError("x must be sorted ascending, with no NaN")
+        if not (np.all(np.diff(f) >= 0) and f[0] >= 0 and f[-1] <= 1 + 1e-12):
+            raise ValueError("f must be a nondecreasing cdf table in [0, 1], no NaN")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "f", np.minimum(f, 1.0))
 

@@ -181,6 +181,8 @@ def _cmd_eps_capacity(args) -> int:
 
 def _cmd_mc(args) -> int:
     scenario, cfg = _merged_scenario(args)
+    if "method" in cfg:
+        raise CliError("mc takes no method (config key 'method')")
     mc_cfg = cfg.get("mc", {})
     slow = args.slow if args.slow is not None else mc_cfg.get("slow", 1000)
     fast = args.fast if args.fast is not None else mc_cfg.get("fast", 1000)

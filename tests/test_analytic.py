@@ -350,6 +350,10 @@ class TestOutageStatic:
         assert outage_static(sc, 1.0) == 0.0
         assert outage_static(sc, 3.5) == 1.0
 
+    def test_strong_los_low_rate(self):
+        # scipy.stats' ncx2.sf raised OverflowError here (nc = 2a^2 = 592)
+        assert outage_static(Scenario(1, 1.0, 17.2, Scheme.STATIC), 1e-8) == 0.0
+
 
 class TestOutagePerfect:
     def test_below_first_step(self):
@@ -503,3 +507,10 @@ class TestEmpiricalCdf:
         for bad in (np.nan, np.array([1.0, np.nan])):
             with pytest.raises(ValueError, match="x must be a number"):
                 cdf(bad)
+
+    def test_nan_in_table_rejected(self):
+        # from_samples sorted a NaN last and read 2/3 at x = 5
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCdf.from_samples([1.0, np.nan, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            EmpiricalCdf(np.array([0.0, 1.0]), np.array([np.nan, 1.0]))

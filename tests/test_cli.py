@@ -111,6 +111,13 @@ class TestEpsCapacity:
         assert code == 0
         assert float(out) == pytest.approx(1.0)
 
+    def test_strong_los_static(self, capsys):
+        # died with scipy.stats' OverflowError traceback (ncx2.sf at nc = 800)
+        code, out, _ = run_cli(capsys, "eps-capacity", "--n", "1", "--p", "1",
+                               "--a", "20", "--scheme", "static", "--eps", "1e-3")
+        assert code == 0
+        assert out.strip() == "8.3167"
+
 
 class TestMc:
     def test_run_and_determinism(self, capsys, tmp_path):
@@ -187,6 +194,15 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "mc", "--config", str(path))
         assert code == 0
         assert len(out.splitlines()) == 8
+
+    def test_mc_rejects_method_in_config(self, capsys, tmp_path):
+        # mc has no method; the key was ignored and mc ran with exit 0
+        cfg = {"n": 5, "p": 0.5, "method": "exact", "mc": {"slow": 7, "fast": 20}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "mc", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 class TestErrors:

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -89,11 +94,42 @@ class TestMarcumQ1:
             assert marcum_q1(a, 0.0) == 1.0
 
     def test_a_zero_rayleigh(self):
-        for b in (0.5, 1.0, 3.0):
-            assert marcum_q1(0.0, b) == pytest.approx(np.exp(-b * b / 2), rel=1e-12)
+        # bit for bit, through the subnormals at b ~ 38.6 and past them
+        b = np.linspace(0.0, 45.0, 4501)
+        np.testing.assert_array_equal(marcum_q1(0.0, b), np.exp(-0.5 * b * b))
+        for x in (0.5, 1.0, 3.0, 38.6):
+            assert marcum_q1(0.0, x) == np.exp(-0.5 * x * x)
 
     def test_series_value(self):
         assert marcum_q1(1.0, 1.0) == pytest.approx(0.73292, abs=1e-4)
+
+    @pytest.mark.parametrize("a,b,want", [
+        (6.0, 1.0, 0.9999998921359468), (4.0, 1.0, 0.9994100508556392),
+        (1.0, 1.0, 0.7328798037968203), (2.0, 8.5, 8.41279629619301e-11),
+        (3.0, 24.3, 1.6197750607304912e-100),
+        # below chndtr's flush to 0: the ncx2.sf branch
+        (3.0854653137332613, 37.017860864649144, 3.8473273143009043e-252)])
+    def test_references(self, a, b, want):
+        # 40-digit mpmath: sum_k Poisson(k; a^2/2) * gammainc(k + 1, b^2/2, inf,
+        # regularized=True)
+        assert marcum_q1(a, b) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_large_noncentrality(self):
+        # scipy.stats' ncx2.sf raised OverflowError at nc = a^2 ~ 590
+        assert marcum_q1(24.3, 1.4e-4) == 1.0
+        assert marcum_q1(np.sqrt(2.0) * 17.2, 1.7e-4) == 1.0
+        # Q1 <= exp(-(b-a)^2/2) underflows past b - a = 38.7
+        assert marcum_q1(20.0, 59.0) == 0.0
+        assert marcum_q1(1.0, 1e200) == 0.0
+
+    def test_import_skips_scipy_stats(self):
+        # importing scipy.stats takes about 0.7 s; only the Q1 tail under 1e-20
+        # and binomial past n = 1024 use it
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = "import phasehop, sys; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
+        assert out.strip() == "False"
 
     def test_monotonicity(self):
         rng = np.random.default_rng(21)
@@ -110,10 +146,10 @@ class TestMarcumQ1:
                 marcum_q1(a, b)
 
     def test_array_matches_scalar(self):
-        a = np.array([0.0, 0.0, 1.0, 2.5, 7.5])
-        b = np.array([[0.0], [0.5], [3.0], [np.inf]])
+        a = np.array([0.0, 0.0, 1.0, 2.5, 7.5, 3.0854653137332613])
+        b = np.array([[0.0], [0.5], [3.0], [37.017860864649144], [1e200], [np.inf]])
         q = marcum_q1(a, b)
-        assert q.shape == (4, 5)
+        assert q.shape == (6, 6)
         for i, j in np.ndindex(q.shape):
             assert q[i, j] == marcum_q1(float(a[j]), float(b[i, 0]))
         assert np.all(q[0] == 1.0) and np.all(q[-1] == 0.0)
