@@ -9,6 +9,7 @@ from .analytic import (
     erg_capacity_los,
     erg_capacity_nlos,
     min_outage,
+    outage,
     outage_general_fading,
     outage_hopping,
     outage_perfect,

@@ -4,7 +4,8 @@ Covers the ergodic capacity under phase hopping (exact via the phasor-sum
 law and approximate via its Gaussian counterpart, both one K1-weighted
 Gauss-Legendre sum), the outage mixtures over the random link count for
 all four schemes, eps-outage capacities, and the general-fading outage
-approximation.
+approximation. `outage` serves every scheme; each per-scheme outage
+function rejects a scenario of another scheme.
 
 Capacities take a whole number or an array of link counts, outage and
 eps-capacity a float or an array of rates (or eps); each returns a float
@@ -31,6 +32,7 @@ __all__ = [
     "EmpiricalCdf",
     "erg_capacity_nlos",
     "erg_capacity_los",
+    "outage",
     "outage_hopping",
     "eps_capacity",
     "outage_static_fixed",
@@ -157,12 +159,23 @@ def _snr(rates: np.ndarray) -> np.ndarray:
         return np.power(2.0, rates) - 1.0
 
 
-def _aligned_capacities(scenario: Scenario) -> np.ndarray:
-    """log2(1 + k^2) for k = 0, ..., N: |H| = k when k NLOS phasors align."""
-    if scenario.los_amplitude != 0.0:
-        raise ValueError("perfect-adjustment outage is defined for a = 0 only")
-    k = np.arange(scenario.n_elements + 1)
-    return np.log2(1.0 + k * k)
+def _require(scenario: Scenario, *schemes: Scheme) -> None:
+    """ValueError unless the scenario's scheme is one of schemes."""
+    if scenario.scheme not in schemes:
+        names = " or ".join(s.value for s in schemes)
+        raise ValueError(f"scheme must be {names}, got {scenario.scheme.value}")
+
+
+def _step_capacities(scenario: Scenario,
+                     method: CapacityMethod = CapacityMethod.APPROX_EI) -> np.ndarray:
+    """Plateaus C(0), ..., C(N) of a step scheme, increasing in the link
+    count: the ergodic capacities under (quantized) hopping, or
+    log2(1 + (a + k)^2) under perfect adjustment, where the k links align
+    with the LOS phasor (the channel montecarlo simulates)."""
+    n, a = scenario.n_elements, scenario.los_amplitude
+    if scenario.scheme is Scheme.PERFECT:
+        return np.log2(1.0 + (a + np.arange(n + 1)) ** 2)
+    return _capacity_table(n, a, method)
 
 
 def _step_outage(scenario: Scenario, rate, caps: np.ndarray):
@@ -172,6 +185,18 @@ def _step_outage(scenario: Scenario, rate, caps: np.ndarray):
     r = _checked(rate, "rate")
     cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
     return _like(cdf0[np.searchsorted(caps, r, "left")], rate)
+
+
+def outage(scenario: Scenario, rate,
+           method: CapacityMethod = CapacityMethod.APPROX_EI):
+    """Outage probability Pr(C < R) at each rate under the scenario's
+    scheme: outage_hopping for hopping and quantized, outage_static for
+    static and outage_perfect for perfect, whose plateaus need no method."""
+    if scenario.scheme is Scheme.STATIC:
+        return outage_static(scenario, rate, method)
+    if scenario.scheme is Scheme.PERFECT:
+        return outage_perfect(scenario, rate)
+    return outage_hopping(scenario, rate, method)
 
 
 def outage_hopping(
@@ -184,10 +209,8 @@ def outage_hopping(
     equal to a capacity plateau is not an outage. Quantized hopping uses the
     continuous-phase value (large-N asymptotic).
     """
-    if scenario.scheme not in (Scheme.HOPPING, Scheme.QUANTIZED):
-        raise ValueError(f"scheme must be hopping or quantized, got {scenario.scheme}")
-    caps = _capacity_table(scenario.n_elements, scenario.los_amplitude, method)
-    return _step_outage(scenario, rate, caps)
+    _require(scenario, Scheme.HOPPING, Scheme.QUANTIZED)
+    return _step_outage(scenario, rate, _step_capacities(scenario, method))
 
 
 def eps_capacity(
@@ -197,13 +220,10 @@ def eps_capacity(
     not exceed eps."""
     e = np.atleast_1d(np.asarray(eps, dtype=float))
     k = quantile(scenario.link_count_distribution(), e)
-    a = scenario.los_amplitude
     if scenario.scheme is not Scheme.STATIC:
-        caps = (_aligned_capacities(scenario) if scenario.scheme is Scheme.PERFECT
-                else _capacity_table(scenario.n_elements, a, method))
-        return _like(caps[k], eps)
+        return _like(_step_capacities(scenario, method)[k], eps)
     # static: invert the continuous outage curve, one root search per eps
-    r_max = float(np.log2(1.0 + (a + scenario.n_elements) ** 2))
+    r_max = float(np.log2(1.0 + (scenario.los_amplitude + scenario.n_elements) ** 2))
     lo = 1e-12
     top, bottom = outage_static(scenario, np.array([r_max, lo]), method)
     out = np.where(top <= e, r_max, 0.0)
@@ -258,6 +278,7 @@ def outage_static(
     summed on its own (pairwise), so a rate gives the same bits alone or
     in any array. A row whose every term is 1 is exactly 1.
     """
+    _require(scenario, Scheme.STATIC)
     r = _checked(rate, "rate")
     pmf = scenario.link_count_distribution().pmf
     a = scenario.los_amplitude
@@ -272,10 +293,11 @@ def outage_static(
 
 
 def outage_perfect(scenario: Scenario, rate):
-    """Outage at each rate with perfect phase adjustment (NLOS): a step
-    mixture at the capacities log2(1 + k^2) of k aligned links, with the
-    same strict convention as outage_hopping."""
-    return _step_outage(scenario, rate, _aligned_capacities(scenario))
+    """Outage at each rate with perfect phase adjustment: a step mixture at
+    the capacities log2(1 + (a + k)^2) of k links aligned with the LOS
+    phasor, with the same strict convention as outage_hopping."""
+    _require(scenario, Scheme.PERFECT)
+    return _step_outage(scenario, rate, _step_capacities(scenario))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, montecarlo, report
 from .analytic import CapacityMethod
-from .model import Scenario, Scheme
+from .model import Scenario
 
 __all__ = ["main"]
 
@@ -52,10 +52,6 @@ CONFIG_SCHEMA = {
 }
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports errors as a single stderr line with exit 2."""
 
@@ -71,13 +67,13 @@ def _load_config(path) -> dict:
         with open(path) as fh:
             cfg = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {path}: {exc}") from exc
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
-        raise CliError(f"config schema violation: {exc.message}") from exc
+        raise ValueError(f"config schema violation: {exc.message}") from exc
     return cfg
 
 
@@ -91,19 +87,12 @@ def _parse_p(text: str):
 def _merged_scenario(args) -> tuple[Scenario, dict]:
     """Scenario from config file plus flag overrides; returns the merged
     raw config as well (for MC settings)."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    if getattr(args, "n", None) is not None:
-        cfg["n"] = args.n
-    if getattr(args, "p", None) is not None:
-        cfg["p"] = list(args.p) if isinstance(args.p, tuple) else args.p
-    if getattr(args, "a", None) is not None:
-        cfg["a"] = args.a
-    if getattr(args, "scheme", None) is not None:
-        cfg["scheme"] = args.scheme
-    if getattr(args, "k", None) is not None:
-        cfg["k"] = args.k
+    cfg = _load_config(args.config) if args.config else {}
+    for key in ("n", "p", "a", "scheme", "k"):
+        if (value := getattr(args, key)) is not None:
+            cfg[key] = value
     if "n" not in cfg or "p" not in cfg:
-        raise CliError("scenario requires at least --n and --p (or a config file)")
+        raise ValueError("scenario requires at least --n and --p (or a config file)")
     return Scenario.from_dict(cfg), cfg
 
 
@@ -146,25 +135,17 @@ def _rate_points(args) -> np.ndarray:
     try:
         lo, hi, step = (float(v) for v in args.rate_grid.split(":"))
     except ValueError as exc:
-        raise CliError(f"invalid --rate-grid {args.rate_grid!r}, "
-                       "expected lo:hi:step") from exc
+        raise ValueError(f"invalid --rate-grid {args.rate_grid!r}, "
+                         "expected lo:hi:step") from exc
     if step <= 0 or hi < lo:
-        raise CliError(f"invalid --rate-grid {args.rate_grid!r}")
+        raise ValueError(f"invalid --rate-grid {args.rate_grid!r}")
     return np.arange(lo, hi + 0.5 * step, step)
-
-
-def _outage(scenario: Scenario, rates: np.ndarray, method: CapacityMethod):
-    if scenario.scheme in (Scheme.HOPPING, Scheme.QUANTIZED):
-        return analytic.outage_hopping(scenario, rates, method)
-    if scenario.scheme is Scheme.STATIC:
-        return analytic.outage_static(scenario, rates, method)
-    return analytic.outage_perfect(scenario, rates)
 
 
 def _cmd_outage(args) -> int:
     scenario, cfg = _merged_scenario(args)
     rates = _rate_points(args)
-    outage = _outage(scenario, rates, _method(args, cfg))
+    outage = analytic.outage(scenario, rates, _method(args, cfg))
     if rates.size == 1 and args.out is None:
         print(f"{outage[0]:.5e}")
         return 0
@@ -182,7 +163,7 @@ def _cmd_eps_capacity(args) -> int:
 def _cmd_mc(args) -> int:
     scenario, cfg = _merged_scenario(args)
     if "method" in cfg:
-        raise CliError("mc takes no method (config key 'method')")
+        raise ValueError("mc takes no method (config key 'method')")
     mc_cfg = cfg.get("mc", {})
     slow = args.slow if args.slow is not None else mc_cfg.get("slow", 1000)
     fast = args.fast if args.fast is not None else mc_cfg.get("fast", 1000)
@@ -200,13 +181,13 @@ def _cmd_figure(args) -> int:
         fid = report.FigureId(args.id)
     except ValueError as exc:
         valid = ", ".join(f.value for f in report.FigureId)
-        raise CliError(f"unknown figure id {args.id!r}; one of: {valid}") from exc
+        raise ValueError(f"unknown figure id {args.id!r}; one of: {valid}") from exc
     overrides = None
     if args.overrides:
         try:
             overrides = json.loads(args.overrides)
         except json.JSONDecodeError as exc:
-            raise CliError(f"invalid --overrides JSON: {exc}") from exc
+            raise ValueError(f"invalid --overrides JSON: {exc}") from exc
     dataset = report.build_figure(fid, overrides)
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, fid.value)
@@ -268,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

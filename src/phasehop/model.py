@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DiscreteDistribution, binomial, poisson_binomial
+from .specfun import DiscreteDistribution, binomial, poisson_binomial, whole_numbers
 
 __all__ = ["Scheme", "Scenario", "symbol_capacity"]
 
@@ -44,8 +44,8 @@ class Scenario:
     quant_levels: int | None = None
 
     def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError(f"n_elements must be >= 1, got {self.n_elements}")
+        object.__setattr__(self, "n_elements",
+                           whole_numbers(self.n_elements, 1, "n_elements"))
         p = np.atleast_1d(np.asarray(self.link_probs, dtype=float))
         if p.size not in (1, self.n_elements):
             raise ValueError(
@@ -58,8 +58,10 @@ class Scenario:
             raise ValueError(
                 f"los_amplitude must be a finite number >= 0, got {self.los_amplitude}")
         if self.scheme is Scheme.QUANTIZED:
-            if self.quant_levels is None or self.quant_levels < 2:
+            if self.quant_levels is None:
                 raise ValueError("quantized scheme requires quant_levels >= 2")
+            object.__setattr__(self, "quant_levels",
+                               whole_numbers(self.quant_levels, 2, "quant_levels"))
         elif self.quant_levels is not None:
             raise ValueError(f"{self.scheme.value} scheme takes no quant_levels")
         if isinstance(self.link_probs, (list, np.ndarray)):
@@ -106,11 +108,11 @@ class Scenario:
     def from_dict(cls, d: dict) -> "Scenario":
         p = d["p"]
         return cls(
-            n_elements=int(d["n"]),
+            n_elements=d["n"],
             link_probs=tuple(p) if isinstance(p, (list, tuple)) else float(p),
             los_amplitude=float(d.get("a", 0.0)),
             scheme=Scheme(d.get("scheme", "hopping")),
-            quant_levels=int(d["k"]) if "k" in d else None,
+            quant_levels=d.get("k"),
         )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Scenario, Scheme, symbol_capacity
+from .specfun import whole_numbers
 
 __all__ = [
     "McConfig",
@@ -40,8 +41,8 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.slow_samples < 1 or self.fast_samples < 1:
-            raise ValueError("slow_samples and fast_samples must be >= 1")
+        for name, least in (("slow_samples", 1), ("fast_samples", 1), ("seed", 0)):
+            object.__setattr__(self, name, whole_numbers(getattr(self, name), least, name))
         if self.slow_samples * self.fast_samples > 10**10:
             raise ValueError(
                 f"{self.slow_samples} x {self.fast_samples} samples exceed "

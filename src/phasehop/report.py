@@ -194,15 +194,11 @@ def _build_static_nlos(p):
 
 def _build_scheme_comparison(p):
     rates = _rate_grid(p["n"], p["points"])
-    hop = Scenario(p["n"], p["p"], 0.0, Scheme.HOPPING)
-    static = Scenario(p["n"], p["p"], 0.0, Scheme.STATIC)
-    perfect = Scenario(p["n"], p["p"], 0.0, Scheme.PERFECT)
-    return {
-        "rate": rates,
-        "hopping": analytic.outage_hopping(hop, rates),
-        "static": analytic.outage_static(static, rates),
-        "perfect": analytic.outage_perfect(perfect, rates),
-    }
+    cols = {"rate": rates}
+    for scheme in (Scheme.HOPPING, Scheme.STATIC, Scheme.PERFECT):
+        sc = Scenario(p["n"], p["p"], 0.0, scheme)
+        cols[scheme.value] = analytic.outage(sc, rates)
+    return cols
 
 
 def _build_cosine_histogram(p):

@@ -61,11 +61,13 @@ def cal_e_inverse(y):
 def whole_numbers(values, least: int, name: str):
     """values as an int for a scalar, an int64 array for an array;
     ValueError unless every entry is a whole number >= least (not NaN, inf
-    or 2.5). A scalar is checked in Python floats, many times faster than
-    as an array: exact static outage checks one per link count and call."""
+    or 2.5). A scalar is checked in Python numbers, many times faster than
+    as an array: exact static outage checks one per link count and call.
+    An int is whole at any size, past the float range too."""
     scalar = np.isscalar(values)
     if scalar:
-        whole = values >= least and float(values).is_integer()
+        whole = values >= least and (isinstance(values, (int, np.integer))
+                                     or float(values).is_integer())
     else:
         x = np.asarray(values, dtype=float)
         whole = np.all((x >= least) & (x < np.inf) & (x == np.floor(x)))
@@ -80,13 +82,16 @@ def marcum_q1(a, b):
     a and b broadcast; a float for scalar arguments, else an array. Nuttall's
     identity makes it chndtr(a^2, 2, b^2) + exp(-(a-b)^2/2) i0e(ab), two terms
     >= 0, exactly exp(-b^2/2) at a = 0; ncx2.sf redoes a sum under 1e-20, near
-    chndtr's flush to 0. Within 1.2e-13 of 40-digit mpmath for Q1 >= 1e-20."""
+    chndtr's flush to 0. Where b - a > 38.7 it is 0, and chndtr, slowest
+    there, gets noncentrality 0. Within 1.2e-13 of 40-digit mpmath for
+    Q1 >= 1e-20."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (np.all(a >= 0) and np.all(b >= 0)):
         raise ValueError(f"arguments must be numbers >= 0, got a={a}, b={b}")
     with np.errstate(over="ignore", invalid="ignore"):
         a2, b2, far = a * a, b * b, b - a > 38.7  # Q1 <= exp(-(b-a)^2/2) underflows
-        q = special.chndtr(a2, 2, b2) + np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b)
+        q = (special.chndtr(a2, 2, np.where(far, 0.0, b2))
+             + np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b))
     q = np.where(b == 0, 1.0, np.where(far, 0.0, np.minimum(q, 1.0)))
     redo = ~(q >= 1e-20) & (a > 0) & ~far  # NaN too: chndtr fails past b^2 ~ 1e11
     if redo.any():  # the only use of scipy.stats, whose import costs 0.7 s

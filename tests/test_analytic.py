@@ -11,6 +11,7 @@ from phasehop.analytic import (
     erg_capacity_los,
     erg_capacity_nlos,
     min_outage,
+    outage,
     outage_general_fading,
     outage_hopping,
     outage_perfect,
@@ -18,6 +19,7 @@ from phasehop.analytic import (
     outage_static_fixed,
 )
 from phasehop.model import Scenario, Scheme
+from phasehop.montecarlo import McConfig, run
 from phasehop.specfun import binomial, cal_e
 
 EXACT = CapacityMethod.EXACT_HANKEL
@@ -29,8 +31,6 @@ REFS = json.loads((pathlib.Path(__file__).resolve().parents[1]
 HOP20 = Scenario(20, 0.5)
 STATIC20 = Scenario(20, 0.5, scheme=Scheme.STATIC)
 PERFECT20 = Scenario(20, 0.5, scheme=Scheme.PERFECT)
-OUTAGE = {Scheme.HOPPING: outage_hopping, Scheme.QUANTIZED: outage_hopping,
-          Scheme.STATIC: outage_static, Scheme.PERFECT: outage_perfect}
 
 
 class TestErgCapacityNlos:
@@ -370,9 +370,44 @@ class TestOutagePerfect:
     def test_zero_rate(self):
         assert outage_perfect(PERFECT20, 0.0) == 0.0
 
-    def test_rejects_los(self):
-        with pytest.raises(ValueError):
-            outage_perfect(Scenario(20, 0.5, 3.0, Scheme.PERFECT), 1.0)
+    def test_los_plateaus(self):
+        # k links aligned with the LOS phasor: |H| = a + k
+        sc = Scenario(20, 0.5, 3.0, Scheme.PERFECT)
+        plateaus = np.log2(1.0 + (3.0 + np.arange(21)) ** 2)
+        cdf = sc.link_count_distribution().cdf
+        np.testing.assert_array_equal(outage_perfect(sc, plateaus), np.append(0.0, cdf[:-1]))
+        np.testing.assert_array_equal(
+            outage_perfect(sc, np.nextafter(plateaus, np.inf)), cdf)
+        eps = np.concatenate([np.nextafter(cdf[:-1], 1.0), [0.0, 1e-5, 0.5]])
+        r = eps_capacity(sc, eps)
+        assert np.all(np.isin(r, plateaus))
+        assert np.all(outage_perfect(sc, r) <= eps)
+        assert np.all(outage_perfect(sc, np.nextafter(r, np.inf)) > eps)
+        assert eps_capacity(Scenario(20, 1.0, 3.0, Scheme.PERFECT), 1e-9) == plateaus[-1]
+
+    def test_los_matches_simulation(self):
+        # the simulator draws the same aligned channel; its ECDF at the
+        # plateau midpoints is the empirical link-count cdf, within 4 sigma
+        sc = Scenario(12, 0.4, 2.5, Scheme.PERFECT)
+        slow = 8192
+        res = run(McConfig(sc, slow, 1, seed=3))
+        plateaus = np.log2(1.0 + (2.5 + np.arange(13)) ** 2)
+        mid = 0.5 * (plateaus[:-1] + plateaus[1:])
+        ana = outage_perfect(sc, mid)
+        sigma = np.sqrt(ana * (1 - ana) / slow)
+        assert np.all(np.abs(res.outage_at(mid) - ana) <= 4 * sigma)
+
+
+class TestOutageDispatch:
+    SCHEMES = {outage_hopping: (Scheme.HOPPING, Scheme.QUANTIZED),
+               outage_static: (Scheme.STATIC,), outage_perfect: (Scheme.PERFECT,)}
+
+    @pytest.mark.parametrize("f", list(SCHEMES), ids=lambda f: f.__name__)
+    def test_rejects_other_scheme(self, f):
+        for scheme in set(Scheme) - set(self.SCHEMES[f]):
+            k = 2 if scheme is Scheme.QUANTIZED else None
+            with pytest.raises(ValueError, match="scheme must be"):
+                f(Scenario(20, 0.5, scheme=scheme, quant_levels=k), 2.0)
 
 
 class TestRateArguments:
@@ -383,11 +418,11 @@ class TestRateArguments:
         STATIC20,
         Scenario(20, 0.5, 3.0, Scheme.STATIC),
         PERFECT20,
+        Scenario(20, 0.5, 3.0, Scheme.PERFECT),
     ]
 
     @pytest.mark.parametrize("sc", SCENARIOS, ids=lambda sc: str(sc.to_dict()))
     def test_nan_rejected_huge_is_outage(self, sc):
-        outage = OUTAGE[sc.scheme]
         for bad in (float("nan"), np.array([1.0, np.nan])):
             with pytest.raises(ValueError, match="rate"):
                 outage(sc, bad)
@@ -400,9 +435,9 @@ class TestRateArguments:
     def test_shapes(self):
         rates = np.linspace(0.0, 5.0, 12).reshape(3, 4)
         for sc in self.SCENARIOS:
-            curve = OUTAGE[sc.scheme](sc, rates)
+            curve = outage(sc, rates)
             assert curve.shape == (3, 4)
-            assert isinstance(OUTAGE[sc.scheme](sc, 1.0), float)
+            assert isinstance(outage(sc, 1.0), float)
         eps = np.array([[1e-6, 1e-3], [0.1, 0.5]])
         for sc in (HOP20, STATIC20, PERFECT20):
             assert eps_capacity(sc, eps).shape == (2, 2)

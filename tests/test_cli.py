@@ -85,6 +85,13 @@ class TestOutage:
         else:
             assert (code, out.strip(), err) == (0, want, "")
 
+    def test_perfect_with_los(self, capsys):
+        # k links aligned with the LOS phasor; a > 0 was an error
+        code, out, err = run_cli(capsys, "outage", "--n", "20", "--p", "0.5",
+                                 "--a", "3", "--scheme", "perfect", "--rate", "5")
+        direct = analytic.outage_perfect(Scenario(20, 0.5, 3.0, Scheme.PERFECT), 5.0)
+        assert (code, out.strip(), err) == (0, f"{direct:.5e}", "")
+
     def test_golden_vs_library(self, capsys):
         code, out, _ = run_cli(capsys, "outage", "--n", "15", "--p", "0.7",
                                "--scheme", "hopping", "--rate", "2.2")
@@ -110,6 +117,12 @@ class TestEpsCapacity:
                                "--scheme", "perfect", "--eps", "1e-5")
         assert code == 0
         assert float(out) == pytest.approx(1.0)
+
+    def test_perfect_with_los(self, capsys):
+        # one link beside the LOS phasor: log2(1 + 4^2)
+        code, out, err = run_cli(capsys, "eps-capacity", "--n", "20", "--p", "0.5",
+                                 "--a", "3", "--scheme", "perfect", "--eps", "1e-5")
+        assert (code, out.strip(), err) == (0, "4.0875", "")
 
     def test_strong_los_static(self, capsys):
         # died with scipy.stats' OverflowError traceback (ncx2.sf at nc = 800)

@@ -44,6 +44,25 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(5, 0.5, scheme=Scheme.QUANTIZED, quant_levels=1)
 
+    def test_from_dict_rejects_fractional_counts(self):
+        # int() used to truncate 2.5 elements to 2 and 2.7 levels to 2
+        with pytest.raises(ValueError, match="n_elements must be a whole number"):
+            Scenario.from_dict({"n": 2.5, "p": 0.5})
+        with pytest.raises(ValueError, match="quant_levels must be a whole number"):
+            Scenario.from_dict({"n": 4, "p": 0.5, "scheme": "quantized", "k": 2.7})
+        sc = Scenario.from_dict({"n": 4.0, "p": 0.5, "scheme": "quantized", "k": 2.0})
+        assert (type(sc.n_elements), type(sc.quant_levels)) == (int, int)
+
+    def test_fractional_quant_levels(self):
+        # 2.5 levels used to be simulated as 2 levels on a 2 pi/2.5 grid
+        with pytest.raises(ValueError, match="quant_levels must be a whole number"):
+            Scenario(4, 0.5, scheme=Scheme.QUANTIZED, quant_levels=2.5)
+        for bad in (2.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="n_elements must be a whole number"):
+                Scenario(bad, 0.5)
+        sc = Scenario(np.int64(4), 0.5, scheme=Scheme.QUANTIZED, quant_levels=4.0)
+        assert (type(sc.n_elements), sc.quant_levels) == (int, 4)
+
     def test_levels_only_for_quantized(self):
         # quant_levels used to be ignored silently by the other schemes
         for scheme in (Scheme.HOPPING, Scheme.STATIC, Scheme.PERFECT):

@@ -26,6 +26,24 @@ class TestMcConfig:
             McConfig(sc, 10, 10, seed=-1)
 
 
+    def test_fractional_sample_counts(self):
+        # run raised TypeError on 2.5 slow samples, which cli.main let through
+        sc = Scenario(4, 0.5)
+        with pytest.raises(ValueError, match="slow_samples must be a whole number"):
+            McConfig(sc, 2.5, 10)
+        with pytest.raises(ValueError, match="fast_samples must be a whole number"):
+            McConfig(sc, 10, 2.5)
+        config = McConfig(sc, 10.0, np.int64(3), 2.0)
+        assert [type(v) for v in (config.slow_samples, config.fast_samples,
+                                  config.seed)] == [int, int, int]
+
+    def test_fractional_seed(self):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            McConfig(Scenario(4, 0.5), 10, 10, seed=1.5)
+        with pytest.raises(ValueError, match="64-bit"):
+            McConfig(Scenario(4, 0.5), 10, 10, seed=2**64)
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         cfg = McConfig(Scenario(10, 0.5), 50, 200, seed=3)

@@ -1,11 +1,12 @@
 """Property tests: the array analytic API against its own scalar calls and
-against a per-rate loop, monotonicity of the hopping outage, and Scenario
-dict round-trips."""
+against a per-rate loop, the outage dispatch against the per-scheme
+functions, monotonicity of the hopping outage, and Scenario dict
+round-trips."""
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasehop import analytic
@@ -15,6 +16,7 @@ from phasehop.analytic import (
     eps_capacity,
     erg_capacity_los,
     erg_capacity_nlos,
+    outage,
     outage_general_fading,
     outage_hopping,
     outage_perfect,
@@ -24,8 +26,6 @@ from phasehop.model import Scenario, Scheme
 from phasehop.specfun import cal_e, cal_e_inverse, marcum_q1
 
 SETTINGS = settings(max_examples=50, deadline=None)
-OUTAGE = {Scheme.HOPPING: outage_hopping, Scheme.QUANTIZED: outage_hopping,
-          Scheme.STATIC: outage_static, Scheme.PERFECT: outage_perfect}
 
 probs = st.floats(0.0, 1.0)
 amplitudes = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
@@ -50,8 +50,7 @@ def eps_arrays(max_size=8):
 
 
 def any_scenario(n_max=64):
-    return st.sampled_from(list(Scheme)).flatmap(
-        lambda s: scenarios(s, n_max, los=s is not Scheme.PERFECT))
+    return st.sampled_from(list(Scheme)).flatmap(lambda s: scenarios(s, n_max))
 
 
 def _same_as_scalar(f, sc, values):
@@ -65,12 +64,38 @@ def _same_as_scalar(f, sc, values):
 @SETTINGS
 @given(any_scenario(32), rate_arrays(8))
 def test_outage_array_is_scalar(sc, rates):
-    _same_as_scalar(OUTAGE[sc.scheme], sc, rates)
+    _same_as_scalar(outage, sc, rates)
+
+
+PER_SCHEME = (outage_hopping, outage_static,
+              lambda sc, rate, _: outage_perfect(sc, rate))
+
+
+@SETTINGS
+@given(any_scenario(16), rate_arrays(6), st.sampled_from(list(CapacityMethod)))
+def test_outage_is_the_one_per_scheme_function(sc, rates, method):
+    # exactly one per-scheme function takes the scenario, and outage gives
+    # its bits on the array and on each rate alone
+    assume(not (sc.scheme is Scheme.STATIC and sc.los_amplitude > 0
+                and method is CapacityMethod.EXACT_HANKEL))  # no such law
+    served = 0
+    for f in PER_SCHEME:
+        try:
+            curve = f(sc, rates, method)
+        except ValueError as exc:
+            assert "scheme must be" in str(exc)
+            continue
+        served += 1
+        np.testing.assert_array_equal(outage(sc, rates, method), curve)
+        for r in rates:
+            alone = outage(sc, float(r), method)
+            assert isinstance(alone, float) and alone == f(sc, float(r), method)
+    assert served == 1
 
 
 @SETTINGS
 @given(st.sampled_from([Scheme.HOPPING, Scheme.PERFECT]).flatmap(
-    lambda s: scenarios(s, los=s is Scheme.HOPPING)), eps_arrays())
+    scenarios), eps_arrays())
 def test_eps_capacity_array_is_scalar(sc, eps):
     _same_as_scalar(eps_capacity, sc, eps)
 
@@ -123,7 +148,7 @@ def loop_outage(sc, rate: float) -> float:
     dist = sc.link_count_distribution()
     n, a = sc.n_elements, sc.los_amplitude
     if sc.scheme is not Scheme.STATIC:
-        caps = ([math.log2(1 + i * i) for i in range(n + 1)]
+        caps = ([math.log2(1 + (a + i) ** 2) for i in range(n + 1)]
                 if sc.scheme is Scheme.PERFECT
                 else [erg_capacity_los(i, a) for i in range(n + 1)])
         k = sum(c < rate for c in caps)
@@ -144,7 +169,7 @@ def loop_outage(sc, rate: float) -> float:
 def test_matches_per_rate_loop(sc, rates):
     # Python's 2.0**r and numpy's differ in the last bit for some r; the
     # static mixture moves by at most a few ulps of 1 for it
-    curve = OUTAGE[sc.scheme](sc, rates)
+    curve = outage(sc, rates)
     loop = [loop_outage(sc, float(r)) for r in rates]
     if sc.scheme is Scheme.STATIC:
         np.testing.assert_allclose(curve, loop, rtol=0, atol=1e-15)
