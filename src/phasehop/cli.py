@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, montecarlo, report
 from .analytic import CapacityMethod
-from .model import Scenario
+from .model import Scenario, Scheme
 
 __all__ = ["main"]
 
@@ -96,9 +96,14 @@ def _merged_scenario(args) -> tuple[Scenario, dict]:
     return Scenario.from_dict(cfg), cfg
 
 
-def _method(args, cfg=None) -> CapacityMethod:
-    name = args.method or (cfg or {}).get("method") or "approx"
-    return CapacityMethod(name)
+def _scenario_and_method(args) -> tuple[Scenario, CapacityMethod]:
+    """Merged scenario and the --method flag or config "method" (default
+    approx); the perfect scheme's plateaus have no method to choose."""
+    scenario, cfg = _merged_scenario(args)
+    name = args.method or cfg.get("method")
+    if name and scenario.scheme is Scheme.PERFECT:
+        raise ValueError("perfect scheme takes no method")
+    return scenario, CapacityMethod(name or "approx")
 
 
 def _print_rate(value: float):
@@ -125,7 +130,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
 
 def _cmd_capacity(args) -> int:
     a = args.a if args.a is not None else 0.0
-    _print_rate(analytic.erg_capacity_los(args.links, a, _method(args)))
+    method = CapacityMethod(args.method or "approx")
+    _print_rate(analytic.erg_capacity_los(args.links, a, method))
     return 0
 
 
@@ -143,9 +149,9 @@ def _rate_points(args) -> np.ndarray:
 
 
 def _cmd_outage(args) -> int:
-    scenario, cfg = _merged_scenario(args)
+    scenario, method = _scenario_and_method(args)
     rates = _rate_points(args)
-    outage = analytic.outage(scenario, rates, _method(args, cfg))
+    outage = analytic.outage(scenario, rates, method)
     if rates.size == 1 and args.out is None:
         print(f"{outage[0]:.5e}")
         return 0
@@ -154,8 +160,7 @@ def _cmd_outage(args) -> int:
 
 
 def _cmd_eps_capacity(args) -> int:
-    scenario, cfg = _merged_scenario(args)
-    method = _method(args, cfg)
+    scenario, method = _scenario_and_method(args)
     _print_rate(analytic.eps_capacity(scenario, args.eps, method))
     return 0
 

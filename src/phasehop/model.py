@@ -123,14 +123,20 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
     the k active links: phi holds their k channel phases, theta an m x k
     array of per-symbol surface phases and los the LOS phasor
     a*exp(j*phi_0).
+
+    The precision follows theta: float32 theta takes phi to float32 and
+    does the angles and their cos/sin in float32 (numpy's SIMD path),
+    summing into float64; any other theta is taken as float64.
     """
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(theta)
+    if theta.dtype != np.float32:
+        theta = theta.astype(float, copy=False)
+    phi = np.asarray(phi, dtype=theta.dtype)
     if phi.ndim != 1 or theta.ndim != 2 or theta.shape[1] != phi.size:
         raise ValueError(
             f"theta of shape {theta.shape} does not match {phi.size} link phases"
         )
     ang = phi[None, :] + theta
-    re = los.real + np.cos(ang).sum(axis=1)
-    im = los.imag + np.sin(ang).sum(axis=1)
+    re = los.real + np.cos(ang).sum(axis=1, dtype=float)
+    im = los.imag + np.sin(ang).sum(axis=1, dtype=float)
     return np.log2(1.0 + re * re + im * im)

@@ -261,6 +261,25 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("args, value", [
+        (("outage", "--rate", "1.5"), "2.00272e-05"),
+        (("eps-capacity", "--eps", "1e-5"), "1.0000"),
+    ])
+    def test_perfect_takes_no_method(self, capsys, tmp_path, args, value):
+        # perfect plateaus have no method; --method and a config "method"
+        # were ignored and the plateau value printed with exit 0
+        scenario = ("--n", "20", "--p", "0.5", "--scheme", "perfect")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 0.5, "scheme": "perfect",
+                                    "method": "approx"}))
+        rejected = "error: perfect scheme takes no method\n"
+        for extra in (("--method", "exact"), ("--method", "approx")):
+            assert run_cli(capsys, args[0], *scenario, *extra, *args[1:]) == (
+                2, "", rejected)
+        assert run_cli(capsys, args[0], "--config", str(path), *args[1:]) == (
+            2, "", rejected)
+        assert run_cli(capsys, args[0], *scenario, *args[1:]) == (0, value + "\n", "")
+
     def test_missing_scenario(self, capsys):
         code, _, err = run_cli(capsys, "eps-capacity", "--eps", "0.1")
         assert code == 2

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from phasehop.model import Scenario, Scheme, symbol_capacity
 
@@ -134,3 +137,47 @@ class TestInstantaneousCapacity:
         h = los + np.exp(1j * (phi + theta)).sum(axis=1)
         np.testing.assert_allclose(symbol_capacity(phi, theta, los),
                                    np.log2(1.0 + np.abs(h) ** 2), rtol=1e-13)
+
+
+class TestPrecision:
+    """symbol_capacity's precision follows theta's dtype."""
+
+    @pytest.mark.parametrize("a", [0.0, 2.0])
+    @pytest.mark.parametrize("k", [1, 10, 50])
+    def test_float32_theta_near_float64(self, k, a):
+        # per link, the float32 angle carries up to 2.4e-7 rad from phi's cast
+        # and 4.8e-7 rad from rounding phi + theta < 4 pi, and float32 cos/sin
+        # err by up to 7e-8; a phasor error d moves log2(1+|h|^2) by at most
+        # d/ln 2 bits, so k links stay within k * 1.2e-6 bits
+        rng = np.random.default_rng(k)
+        phi = rng.uniform(0, 2 * np.pi, k)
+        theta = rng.random((50_000, k), dtype=np.float32) * np.float32(2 * np.pi)
+        los = complex(a * np.exp(1.3j))  # float32 sums would then stay float32
+        c32 = symbol_capacity(phi, theta, los)
+        c64 = symbol_capacity(phi, theta.astype(float), los)
+        assert c32.dtype == np.float64 and not np.array_equal(c32, c64)
+        assert np.max(np.abs(c32 - c64)) <= 1.2e-6 * max(k, 1)
+
+
+@st.composite
+def _theta_inputs(draw):
+    k, m = draw(st.integers(0, 12)), draw(st.integers(1, 20))
+    dtype = draw(st.sampled_from([np.float64, np.int64, np.int32, np.uint8]))
+    floats = st.floats(-100.0, 100.0)
+    theta = draw(hnp.arrays(dtype, (m, k),
+                            elements=floats if dtype is np.float64 else None))
+    phi = draw(hnp.arrays(np.float64, k, elements=floats))
+    los = draw(st.complex_numbers(max_magnitude=10.0))
+    return phi, theta, los
+
+
+@settings(max_examples=100, deadline=None)
+@given(_theta_inputs())
+def test_float64_and_integer_theta_keep_their_bits(inputs):
+    # reference: the all-float64 formula, written out
+    phi, theta, los = inputs
+    ang = phi[None, :] + np.asarray(theta, dtype=float)
+    re = los.real + np.cos(ang).sum(axis=1)
+    im = los.imag + np.sin(ang).sum(axis=1)
+    np.testing.assert_array_equal(symbol_capacity(phi, theta, los),
+                                  np.log2(1.0 + re * re + im * im))

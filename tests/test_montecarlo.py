@@ -177,3 +177,8 @@ class TestQuantizedSumMoments:
             quantized_sum_moments(0, 4, 10)
         with pytest.raises(ValueError):
             quantized_sum_moments(4, 1, 10)
+        # 2.5 levels were drawn as 0 or 1 on a 2 pi/2.5 grid
+        with pytest.raises(ValueError, match="k_levels must be a whole number"):
+            quantized_sum_moments(4, 2.5, 10)
+        np.testing.assert_array_equal(quantized_sum_samples(3, 4.0, 50, seed=1),
+                                      quantized_sum_samples(3, 4, 50, seed=1))
