@@ -193,6 +193,8 @@ def _cmd_figure(args) -> int:
             overrides = json.loads(args.overrides)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid --overrides JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ValueError(f"--overrides must be a JSON object, got {args.overrides}")
     dataset = report.build_figure(fid, overrides)
     os.makedirs(args.out_dir, exist_ok=True)
     base = os.path.join(args.out_dir, fid.value)

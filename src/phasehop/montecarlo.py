@@ -150,11 +150,9 @@ def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     """Draws of sum_i cos(phi_i + theta_i) with phi uniform and theta on the
     k_levels-point phase grid, drawn and summed as in the fast loop: phases
     and cosines in float32, the sum in float64."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = whole_numbers(n, 1, "n")
     k_levels = whole_numbers(k_levels, 2, "k_levels")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = whole_numbers(samples, 1, "samples")
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     out = np.empty(samples)
     chunk = max(1, 2_000_000 // n)

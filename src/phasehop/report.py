@@ -17,6 +17,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .analytic import CapacityMethod
 from .model import Scenario, Scheme
+from .specfun import whole_numbers
 
 __all__ = ["FigureId", "FigureDataset", "build_figure", "csv_lines", "write_csv",
            "write_json", "read_csv", "read_json"]
@@ -97,11 +98,25 @@ def build_figure(figure_id: FigureId, overrides: dict | None = None) -> FigureDa
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown override {key!r} for {figure_id.value}")
-        params[key] = value
+        params[key] = _like_default(key, params[key], value)
     builder = _BUILDERS[figure_id]
     columns = builder(params)
     meta = {"figure_id": figure_id.value, "params": _jsonable(params)}
     return FigureDataset(figure_id, columns, meta)
+
+
+def _like_default(key: str, default, value):
+    """An override in the type of its default: a whole number for an int
+    (4.0 is 4), a float for a float, and a tuple of those for a tuple, which
+    a list also gives (as JSON metadata does)."""
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"override {key!r} must be a list, got {value!r}")
+        return tuple(_like_default(key, default[0], v) for v in value)
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real):
+        raise ValueError(f"override {key!r} must be a number, got {value!r}")
+    return whole_numbers(value, 0, key) if isinstance(default, int) else float(value)
 
 
 def _jsonable(obj):
@@ -117,7 +132,7 @@ def _jsonable(obj):
 
 
 def _build_erg_cap_compare(p):
-    ns = np.arange(1, int(p["n_max"]) + 1)
+    ns = np.arange(1, p["n_max"] + 1)
     return {"n": ns,
             "exact": analytic.erg_capacity_nlos(ns, CapacityMethod.EXACT_HANKEL),
             "approx": analytic.erg_capacity_nlos(ns, CapacityMethod.APPROX_EI)}
@@ -175,7 +190,7 @@ def _build_quantized_sweep(p):
     for n in p["n_values"]:
         for scheme, tag in ((Scheme.QUANTIZED, "quantized"), (Scheme.HOPPING, "hopping")):
             k = p["k"] if scheme is Scheme.QUANTIZED else None
-            sc = Scenario(int(n), p["p"], 0.0, scheme, quant_levels=k)
+            sc = Scenario(n, p["p"], 0.0, scheme, quant_levels=k)
             cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
             cols[f"mc_{tag}_n{n}"] = montecarlo.run(cfg).outage_at(rates)
     return cols
@@ -208,7 +223,7 @@ def _build_cosine_histogram(p):
     centers = 0.5 * (edges[:-1] + edges[1:])
     cols = {"x": centers}
     for n in p["n_values"]:
-        x = montecarlo.quantized_sum_samples(int(n), p["k"], p["samples"], p["seed"])
+        x = montecarlo.quantized_sum_samples(n, p["k"], p["samples"], p["seed"])
         hist, _ = np.histogram(x, bins=edges, density=True)
         cols[f"density_n{n}"] = hist
         var = n / 2.0

@@ -179,6 +179,37 @@ class TestFigure:
         assert (code, out) == (2, "")
         assert err == "error: unknown override 'bogus' for scheme-comparison\n"
 
+    @pytest.mark.parametrize("fid, overrides, message", [
+        ("scheme-comparison", "[1]", "--overrides must be a JSON object, got [1]"),
+        ("static-nlos", '{"n": "x"}', "override 'n' must be a number, got 'x'"),
+        ("static-nlos", '{"p_values": 0.5}', "override 'p_values' must be a list, got 0.5"),
+        ("cosine-histogram", '{"samples": 2.5}',
+         "samples must be a whole number >= 0, got 2.5"),
+        ("cosine-histogram", '{"bins": 2.5}', "bins must be a whole number >= 0, got 2.5"),
+        ("scheme-comparison", '{"points": 2.5}',
+         "points must be a whole number >= 0, got 2.5"),
+        # drew the histogram from int(2.5) = 2 links beside a normal curve for 2.5
+        ("cosine-histogram", '{"n_values": [2.5]}',
+         "n_values must be a whole number >= 0, got 2.5"),
+    ])
+    def test_override_of_wrong_type(self, capsys, tmp_path, fid, overrides, message):
+        code, out, err = run_cli(capsys, "figure", "--id", fid, "--out-dir", str(tmp_path),
+                                 "--overrides", overrides)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not any(tmp_path.iterdir())
+
+    def test_whole_float_overrides(self, capsys, tmp_path):
+        # 4.0 means 4, as hand-written JSON may give it
+        texts = []
+        for overrides in ('{"k": 4, "n_values": [4], "samples": 1000, "bins": 8}',
+                          '{"k": 4.0, "n_values": [4.0], "samples": 1e3, "bins": 8.0}'):
+            code, _, _ = run_cli(capsys, "figure", "--id", "cosine-histogram",
+                                 "--out-dir", str(tmp_path), "--overrides", overrides)
+            assert code == 0
+            texts.append((tmp_path / "cosine-histogram.csv").read_text())
+        assert texts[0].startswith("x,density_n4,normal_n4\n")
+        assert texts[1] == texts[0]
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, capsys, tmp_path):

@@ -103,12 +103,51 @@ class TestPhasorSumDistribution:
             assert d.pdf(0.0) == 0.0
 
     def test_accuracy_warning_eight_links_at_edge(self):
-        # the density is about 0 near s = 8; the quadrature gives -1.2e-7,
-        # flagged, then clamped to 0
+        # the density is about 0 near s = 8 (2.4e-10 on 40,000 series
+        # terms): no warning and no negative value
         d = PhasorSumDistribution(8)
-        with pytest.warns(AccuracyWarning, match="markedly negative"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AccuracyWarning)
             val = d.pdf(7.998)
-        assert val == 0.0
+        assert 0.0 <= val <= 1e-8
+
+    # References. n = 4: mpmath 1.3.0 at mp.dps = 30 of Borwein, Straub, Wan
+    # and Zudilin's form (2/pi^2) (sqrt(16 - s^2)/s)
+    # Re 3F2(1/2, 1/2, 1/2; 5/6, 7/6; (16 - s^2)^3 / (108 s^4)), `mp.hyp3f2`,
+    # rounded to 17 digits. n = 5: nested one-step integrals, (s/pi) times
+    # the integral over psi in (0, pi) of p4(r)/r with r^2 = s^2 + 1 -
+    # 2s cos psi (scipy quad, split where r = 2 and stopped where r = 4; two
+    # independent runs agree to 5e-13). n = 6: the cdf series' derivative
+    # on 40,000 zeros of J1, those past the 1,000th from McMahon's expansion
+    # refined by Newton steps.
+    @pytest.mark.parametrize("n, tol, refs", [
+        (4, dict(rel=1e-12), {
+            0.5: 0.21315195617124543, 1.0: 0.32993380106006406, 1.5: 0.41850487636816906,
+            1.9: 0.47967005882279104, 2.1: 0.37886972457603717, 2.5: 0.26101694727225171,
+            3.0: 0.17963005041600284, 3.5: 0.11216561489129166, 3.9: 0.046182803265283659}),
+        (5, dict(abs=5e-6), {
+            0.5: 0.165802301806, 1.5: 0.363803525068, 2.5: 0.318161329391,
+            3.0: 0.224551974511, 4.0: 0.0715262734384, 4.5: 0.0315214897299,
+            4.9: 0.00577992632037, 4.99: 0.000567537996411}),
+        (6, dict(abs=3e-7), {
+            1.93: 0.354912644424525, 4.31: 0.0648937023916853,
+            5.5: 0.00735225658336811, 5.9: 0.000601364251822827}),
+    ])
+    def test_density_references(self, n, tol, refs):
+        d = PhasorSumDistribution(n)
+        for s, want in refs.items():
+            assert d.pdf(s) == pytest.approx(want, **tol)
+
+    def test_density_scan_warns_nothing(self):
+        # every link count, across the whole support: no warning of any kind,
+        # and a finite, nonnegative density off the singular points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in range(1, 41):
+                s = np.linspace(0.0, n, 101)
+                vals = PhasorSumDistribution(n).pdf(s)
+                assert np.all(vals >= 0.0), n
+                assert np.all(np.isfinite(vals[(s != 1.0) & (s != 2.0)])), n
 
     def test_three_link_density(self):
         # the closed form integrates to the one-integral cdf, and holds its
@@ -170,17 +209,18 @@ class TestPhasorSumDistribution:
         np.testing.assert_allclose(PhasorSumDistribution(n).cdf(pts), oracle,
                                    rtol=0, atol=1e-5)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 40])
     def test_cdf_array_is_scalar(self, n):
         d = PhasorSumDistribution(n)
         s = np.linspace(0.0, n, 13).reshape(13, 1)
-        curve = d.cdf(s)
-        assert curve.shape == (13, 1)
-        scalar = [d.cdf(float(x)) for x in s.ravel()]
-        assert all(isinstance(v, float) for v in scalar)
-        np.testing.assert_array_equal(curve.ravel(), scalar)
-        with pytest.raises(ValueError):
-            d.cdf(np.array([1.0, np.nan]))
+        for law in (d.cdf, d.pdf):
+            curve = law(s)
+            assert curve.shape == (13, 1)
+            scalar = [law(float(x)) for x in s.ravel()]
+            assert all(isinstance(v, float) for v in scalar)
+            np.testing.assert_array_equal(curve.ravel(), scalar)
+            with pytest.raises(ValueError):
+                law(np.array([1.0, np.nan]))
 
     def test_cdf_monotone(self):
         d = PhasorSumDistribution(5)
