@@ -127,6 +127,12 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
     The precision follows theta: float32 theta takes phi to float32 and
     does the angles and their cos/sin in float32 (numpy's SIMD path),
     summing into float64; any other theta is taken as float64.
+
+    The layout follows theta too: numpy keeps a column-major theta (the
+    transpose of a link-major k x m draw, as the Monte-Carlo fast loop
+    passes it) column-major through the angles and cos/sin, so the sums
+    over the links run along contiguous memory. The result has the same
+    bits for either layout.
     """
     theta = np.asarray(theta)
     if theta.dtype != np.float32:

@@ -12,14 +12,24 @@ The fast loop draws those phases in float32: hopping on the grid of
 `symbol_capacity` then takes the angles and their cos/sin in float32 and
 sums them in float64. A symbol's capacity stays within 1.2e-6 bits per
 active link of the float64 result on the same phases (tests/test_model.py),
-far inside the fast loop's own noise. Samples for a given seed differ from
-those of the float64 loop. For continuous hopping the expected fast-loop
-mean given n links is exactly C(n, a), whatever the slow phases, so the
-loop adds only noise to that table and serves as its independent
-cross-check.
+far inside the fast loop's own noise.
+
+The phases are drawn link-major, k links x symbols, and handed to
+`symbol_capacity` transposed, so its float64 sums over the links run along
+contiguous memory. A quantized level costs one byte of a raw 64-bit Philox
+word for K <= 256 (two for K <= 65536): each value is masked to the next
+power of two and values >= K are rejected, which makes the draw exactly
+uniform. Every fast-loop and quantized-sum chunk holds about 2^18 phases
+(1 MB of float32), so that its temporaries stay in cache. Samples for a
+given seed differ from those of earlier layouts and draws.
+
+For continuous hopping the expected fast-loop mean given n links is exactly
+C(n, a), whatever the slow phases, so the loop adds only noise to that table
+and serves as its independent cross-check.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,8 +48,16 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _TWO_PI32 = np.float32(_TWO_PI)
-_FAST_CHUNK = 4096
+_CHUNK = 2**18  # phases per fast-loop or quantized-sum chunk
 _BLOCK = 256
+
+
+def _checked_seed(seed) -> int:
+    """seed as an int: a whole number in [0, 2^64), the range of a Philox key word."""
+    seed = whole_numbers(seed, 0, "seed")
+    if seed >= 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -53,15 +71,14 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("slow_samples", 1), ("fast_samples", 1), ("seed", 0)):
-            object.__setattr__(self, name, whole_numbers(getattr(self, name), least, name))
+        for name in ("slow_samples", "fast_samples"):
+            object.__setattr__(self, name, whole_numbers(getattr(self, name), 1, name))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
         if self.slow_samples * self.fast_samples > 10**10:
             raise ValueError(
                 f"{self.slow_samples} x {self.fast_samples} samples exceed "
                 "the 1e10 work guard"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +110,37 @@ class McResult:
         return counts / self._sorted.size
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of `width` phases that fill one chunk (at least one row)."""
+    return max(1, _CHUNK // max(width, 1))
+
+
 def _levels(rng, levels: int, shape) -> np.ndarray:
-    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1; l
-    is drawn in the smallest unsigned type that holds it."""
-    level = rng.integers(0, levels, size=shape, dtype=np.min_scalar_type(levels - 1))
-    return np.multiply(level, np.float32(_TWO_PI / levels), dtype=np.float32)
+    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1.
+
+    l is cut from raw 64-bit words of rng's bit generator in the smallest
+    unsigned type that holds levels - 1 and masked to the next power of two.
+    Values >= levels are drawn again until they fall below it, so l is
+    exactly uniform; a power of two draws nothing again."""
+    dtype = np.min_scalar_type(levels - 1)
+    if dtype.kind != "u":
+        raise ValueError(f"at most 2^64 levels fit a Philox word, got {levels}")
+    top = 1 << (levels - 1).bit_length()
+
+    def draw(count):
+        words = rng.bit_generator.random_raw(-(-count * dtype.itemsize // 8))
+        values = words.view(dtype)[:count]
+        values &= dtype.type(top - 1)
+        return values
+
+    level = draw(math.prod(shape))
+    if levels < top:  # a power of two rejects nothing
+        redo = np.flatnonzero(level >= levels)
+        while redo.size:
+            level[redo] = fresh = draw(redo.size)
+            redo = redo[np.flatnonzero(fresh >= levels)]
+    return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels),
+                       dtype=np.float32)
 
 
 def _block(config: McConfig, probs: np.ndarray, b: int):
@@ -122,14 +165,16 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
     levels = sc.quant_levels
     for row in range(m):
         phi_act = phi[row, avail[row]]
+        chunk = _chunk_rows(phi_act.size)
         total = 0.0
-        for start in range(0, config.fast_samples, _FAST_CHUNK):
-            shape = (min(_FAST_CHUNK, config.fast_samples - start), phi_act.size)
+        for start in range(0, config.fast_samples, chunk):
+            # link-major: symbol_capacity sums each symbol along memory
+            shape = (phi_act.size, min(chunk, config.fast_samples - start))
             if sc.scheme is Scheme.QUANTIZED:
                 theta = _levels(rng, levels, shape)
             else:
                 theta = rng.random(shape, dtype=np.float32) * _TWO_PI32
-            total += float(symbol_capacity(phi_act, theta, los[row]).sum())
+            total += float(symbol_capacity(phi_act, theta.T, los[row]).sum())
         caps[row] = total / config.fast_samples
     return caps, n_avail
 
@@ -149,18 +194,19 @@ def run(config: McConfig, workers: int = 1) -> McResult:
 def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     """Draws of sum_i cos(phi_i + theta_i) with phi uniform and theta on the
     k_levels-point phase grid, drawn and summed as in the fast loop: phases
-    and cosines in float32, the sum in float64."""
+    and cosines in float32, link-major, the sum in float64. The seed is
+    checked as McConfig checks it."""
     n = whole_numbers(n, 1, "n")
     k_levels = whole_numbers(k_levels, 2, "k_levels")
     samples = whole_numbers(samples, 1, "samples")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    rng = np.random.Generator(np.random.Philox(key=[_checked_seed(seed), 0]))
     out = np.empty(samples)
-    chunk = max(1, 2_000_000 // n)
+    chunk = _chunk_rows(n)
     for pos in range(0, samples, chunk):
         m = min(chunk, samples - pos)
-        phi = rng.random((m, n), dtype=np.float32) * _TWO_PI32
-        theta = _levels(rng, k_levels, (m, n))
-        out[pos : pos + m] = np.cos(phi + theta).sum(axis=1, dtype=float)
+        phi = rng.random((n, m), dtype=np.float32) * _TWO_PI32
+        theta = _levels(rng, k_levels, (n, m))
+        out[pos : pos + m] = np.cos(phi + theta).sum(axis=0, dtype=float)
     return out
 
 

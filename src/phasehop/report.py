@@ -107,16 +107,19 @@ def build_figure(figure_id: FigureId, overrides: dict | None = None) -> FigureDa
 
 def _like_default(key: str, default, value):
     """An override in the type of its default: a whole number for an int
-    (4.0 is 4), a float for a float, and a tuple of those for a tuple, which
-    a list also gives (as JSON metadata does)."""
+    (4.0 is 4), at least 1 except the seed, which may be 0; a float for a
+    float; and a non-empty tuple of those for a tuple, which a list also
+    gives (as JSON metadata does)."""
     if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"override {key!r} must be a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"override {key!r} must be a non-empty list, got {value!r}")
         return tuple(_like_default(key, default[0], v) for v in value)
     real = (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, real):
         raise ValueError(f"override {key!r} must be a number, got {value!r}")
-    return whole_numbers(value, 0, key) if isinstance(default, int) else float(value)
+    if isinstance(default, int):
+        return whole_numbers(value, 0 if key == "seed" else 1, key)
+    return float(value)
 
 
 def _jsonable(obj):

@@ -182,15 +182,24 @@ class TestFigure:
     @pytest.mark.parametrize("fid, overrides, message", [
         ("scheme-comparison", "[1]", "--overrides must be a JSON object, got [1]"),
         ("static-nlos", '{"n": "x"}', "override 'n' must be a number, got 'x'"),
-        ("static-nlos", '{"p_values": 0.5}', "override 'p_values' must be a list, got 0.5"),
+        ("static-nlos", '{"p_values": 0.5}',
+         "override 'p_values' must be a non-empty list, got 0.5"),
         ("cosine-histogram", '{"samples": 2.5}',
-         "samples must be a whole number >= 0, got 2.5"),
-        ("cosine-histogram", '{"bins": 2.5}', "bins must be a whole number >= 0, got 2.5"),
+         "samples must be a whole number >= 1, got 2.5"),
+        ("cosine-histogram", '{"bins": 2.5}', "bins must be a whole number >= 1, got 2.5"),
         ("scheme-comparison", '{"points": 2.5}',
-         "points must be a whole number >= 0, got 2.5"),
+         "points must be a whole number >= 1, got 2.5"),
         # drew the histogram from int(2.5) = 2 links beside a normal curve for 2.5
         ("cosine-histogram", '{"n_values": [2.5]}',
-         "n_values must be a whole number >= 0, got 2.5"),
+         "n_values must be a whole number >= 1, got 2.5"),
+        # wrote a header-only CSV, or a rate column alone, and exited 0
+        ("scheme-comparison", '{"points": 0}', "points must be a whole number >= 1, got 0"),
+        ("cosine-histogram", '{"bins": 0}', "bins must be a whole number >= 1, got 0"),
+        ("static-nlos", '{"p_values": []}',
+         "override 'p_values' must be a non-empty list, got []"),
+        # printed "max() arg is an empty sequence"
+        ("cosine-histogram", '{"n_values": []}',
+         "override 'n_values' must be a non-empty list, got []"),
     ])
     def test_override_of_wrong_type(self, capsys, tmp_path, fid, overrides, message):
         code, out, err = run_cli(capsys, "figure", "--id", fid, "--out-dir", str(tmp_path),

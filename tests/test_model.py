@@ -158,6 +158,18 @@ class TestPrecision:
         assert c32.dtype == np.float64 and not np.array_equal(c32, c64)
         assert np.max(np.abs(c32 - c64)) <= 1.2e-6 * max(k, 1)
 
+    @pytest.mark.parametrize("k", [0, 1, 10, 50])
+    def test_link_major_theta_same_bits(self, k):
+        # the fast loop passes link-major theta transposed, so column-major
+        rng = np.random.default_rng(k)
+        phi = rng.uniform(0, 2 * np.pi, k)
+        theta = (rng.random((k, 4096), dtype=np.float32) * np.float32(2 * np.pi)).T
+        assert theta.flags.f_contiguous
+        for los in (0.0, complex(2.0 * np.exp(1.3j))):
+            np.testing.assert_array_equal(
+                symbol_capacity(phi, theta, los),
+                symbol_capacity(phi, np.ascontiguousarray(theta), los))
+
 
 @st.composite
 def _theta_inputs(draw):

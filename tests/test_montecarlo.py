@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from phasehop.analytic import outage_hopping, outage_static, CapacityMethod
 from phasehop.model import Scenario, Scheme
 from phasehop.montecarlo import (
+    _levels,
     McConfig,
     McResult,
     quantized_sum_moments,
@@ -119,6 +123,37 @@ class TestSchemes:
         assert np.all(caps >= 0)
 
 
+class TestLevels:
+    @pytest.mark.parametrize("levels", [2, 3, 5, 7, 256, 257, 1000])
+    def test_uniform_on_the_grid(self, levels):
+        draws = 200 * levels
+        rng = np.random.Generator(np.random.Philox(key=[levels, 0]))
+        x = _levels(rng, levels, (draws // 8, 8))
+        step = np.float32(2 * np.pi / levels)
+        level = np.rint(x / step.astype(float)).astype(np.int64)
+        assert x.dtype == np.float32 and x.shape == (draws // 8, 8)
+        np.testing.assert_array_equal(np.multiply(level, step, dtype=np.float32), x)
+        counts = np.bincount(level.ravel(), minlength=levels)
+        assert counts.size == levels and np.all(counts > 0)
+        # Pearson's statistic for a uniform law exceeds this once in 10^6 draws
+        stat = np.sum((counts - draws / levels) ** 2) / (draws / levels)
+        assert stat <= chi2.isf(1e-6, levels - 1)
+
+    @pytest.mark.parametrize("levels", [3, 4])
+    def test_zero_size(self, levels):
+        # a slow sample with no active link draws a k = 0 chunk
+        rng = np.random.Generator(np.random.Philox(key=[0, 0]))
+        for shape in ((0, 4096), (7, 0)):
+            x = _levels(rng, levels, shape)
+            assert x.shape == shape and x.dtype == np.float32
+
+    def test_too_many_levels(self):
+        # no unsigned type holds 2^64 levels; this used to be a TypeError
+        rng = np.random.Generator(np.random.Philox(key=[0, 0]))
+        with pytest.raises(ValueError, match="at most 2\\^64 levels"):
+            _levels(rng, 2**64 + 1, (2, 2))
+
+
 class TestMcResult:
     def test_strict_ecdf(self):
         res = McResult(np.array([1.0, 1.0, 2.0, 3.0]), np.array([1, 1, 2, 2]),
@@ -171,6 +206,27 @@ class TestQuantizedSumMoments:
     def test_single_term_variance(self):
         _, var = quantized_sum_moments(1, 2, 10**6, seed=30)
         assert var == pytest.approx(0.5, abs=0.01)
+
+    @pytest.mark.parametrize("k_levels", [3, 257])
+    def test_moments_with_rejected_levels(self, k_levels):
+        # no power of two, so some level draws are rejected and drawn again;
+        # a sum S of n cos(U) has E S^2 = n/2 and E S^4 = 3n/8 + 3n(n-1)/4
+        n, samples = 5, 2 * 10**5
+        mean, var = quantized_sum_moments(n, k_levels, samples, seed=k_levels)
+        mu4 = 3 * n / 8 + 3 * n * (n - 1) / 4
+        assert abs(mean) <= 4 * np.sqrt(n / 2 / samples)
+        assert abs(var - n / 2) <= 4 * np.sqrt((mu4 - (n / 2) ** 2) / samples)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, 2**64])
+    def test_seed_checked_as_mc_config(self, seed):
+        with pytest.raises(ValueError) as config_error:
+            McConfig(Scenario(4, 0.5), 10, 10, seed=seed)
+        with pytest.raises(ValueError, match=re.escape(str(config_error.value))):
+            quantized_sum_samples(3, 4, 10, seed=seed)
+
+    def test_whole_seeds(self):
+        np.testing.assert_array_equal(quantized_sum_samples(3, 4, 50, seed=3.0),
+                                      quantized_sum_samples(3, 4, 50, seed=3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
