@@ -25,7 +25,7 @@ from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
 from .model import Scenario, Scheme
-from .specfun import cal_e, cal_e_inverse, marcum_q1, quantile, whole_numbers
+from .specfun import cal_e, cal_e_inverse, marcum_q1, quantile, whole_number, whole_numbers
 
 __all__ = [
     "CapacityMethod",
@@ -259,7 +259,7 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     one call, and requires a = 0; approximate mode uses the exponential
     (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
     """
-    links = np.array([int(whole_numbers(n_avail, 1, "n_avail"))])
+    links = np.array([whole_number(n_avail, 1, "n_avail")])
     return _like(_static_fixed(links, _snr(_checked(rate, "rate")), a, mode)[..., 0], rate)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,39 +18,14 @@ import numpy as np
 from . import analytic, montecarlo, report
 from .analytic import CapacityMethod
 from .model import Scenario, Scheme
+from .specfun import whole_number
 
 __all__ = ["main"]
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "p": {
-            "anyOf": [
-                {"type": "number", "minimum": 0, "maximum": 1},
-                {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0, "maximum": 1},
-                    "minItems": 1,
-                },
-            ]
-        },
-        "a": {"type": "number", "minimum": 0},
-        "scheme": {"enum": ["hopping", "quantized", "static", "perfect"]},
-        "k": {"type": "integer", "minimum": 2},
-        "method": {"enum": ["exact", "approx"]},
-        "mc": {
-            "type": "object",
-            "properties": {
-                "slow": {"type": "integer", "minimum": 1},
-                "fast": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+_METHODS = [m.value for m in CapacityMethod]
+# the config keys; Scenario, CapacityMethod and McConfig check their values
+_CONFIG_KEYS = {"n", "p", "a", "scheme", "k", "method", "mc"}
+_MC_KEYS = {"slow", "fast", "seed"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,8 +37,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path) -> dict:
-    import jsonschema
-
+    """The JSON object in path. Its keys, and those of its "mc" object, must
+    be known, and the "mc" values whole numbers, for every subcommand."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -70,10 +46,15 @@ def _load_config(path) -> dict:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON in {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ValueError(f"config schema violation: {exc.message}") from exc
+    mc = cfg.get("mc", {}) if isinstance(cfg, dict) else None
+    if not isinstance(mc, dict):
+        raise ValueError(f"config {path} and its 'mc' must be JSON objects")
+    unknown = sorted(set(cfg) - _CONFIG_KEYS) + sorted(
+        f"mc.{key}" for key in set(mc) - _MC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {path}")
+    for key, value in mc.items():  # checked here too: only mc builds a McConfig
+        whole_number(value, 0 if key == "seed" else 1, f"mc.{key}")
     return cfg
 
 
@@ -86,10 +67,10 @@ def _parse_p(text: str):
 
 def _merged_scenario(args) -> tuple[Scenario, dict]:
     """Scenario from config file plus flag overrides; returns the merged
-    raw config as well (for MC settings)."""
+    raw config as well (for the method and the MC settings)."""
     cfg = _load_config(args.config) if args.config else {}
-    for key in ("n", "p", "a", "scheme", "k"):
-        if (value := getattr(args, key)) is not None:
+    for key in ("n", "p", "a", "scheme", "k", "method"):
+        if (value := getattr(args, key, None)) is not None:
             cfg[key] = value
     if "n" not in cfg or "p" not in cfg:
         raise ValueError("scenario requires at least --n and --p (or a config file)")
@@ -100,14 +81,9 @@ def _scenario_and_method(args) -> tuple[Scenario, CapacityMethod]:
     """Merged scenario and the --method flag or config "method" (default
     approx); the perfect scheme's plateaus have no method to choose."""
     scenario, cfg = _merged_scenario(args)
-    name = args.method or cfg.get("method")
-    if name and scenario.scheme is Scheme.PERFECT:
+    if "method" in cfg and scenario.scheme is Scheme.PERFECT:
         raise ValueError("perfect scheme takes no method")
-    return scenario, CapacityMethod(name or "approx")
-
-
-def _print_rate(value: float):
-    print(f"{value:.4f}")
+    return scenario, CapacityMethod(cfg.get("method", "approx"))
 
 
 def _emit_csv(columns: dict, out) -> None:
@@ -124,14 +100,13 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--p", type=_parse_p,
                    help="connection probability (scalar or comma list)")
     p.add_argument("--a", type=float, help="LOS amplitude (0 = NLOS)")
-    p.add_argument("--scheme", choices=["hopping", "quantized", "static", "perfect"])
+    p.add_argument("--scheme", choices=[s.value for s in Scheme])
     p.add_argument("--k", type=int, help="quantization levels")
 
 
 def _cmd_capacity(args) -> int:
-    a = args.a if args.a is not None else 0.0
     method = CapacityMethod(args.method or "approx")
-    _print_rate(analytic.erg_capacity_los(args.links, a, method))
+    print(f"{analytic.erg_capacity_los(args.links, args.a, method):.4f}")
     return 0
 
 
@@ -161,7 +136,7 @@ def _cmd_outage(args) -> int:
 
 def _cmd_eps_capacity(args) -> int:
     scenario, method = _scenario_and_method(args)
-    _print_rate(analytic.eps_capacity(scenario, args.eps, method))
+    print(f"{analytic.eps_capacity(scenario, args.eps, method):.4f}")
     return 0
 
 
@@ -180,13 +155,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    import os
-
-    try:
-        fid = report.FigureId(args.id)
-    except ValueError as exc:
-        valid = ", ".join(f.value for f in report.FigureId)
-        raise ValueError(f"unknown figure id {args.id!r}; one of: {valid}") from exc
+    fid = report.FigureId(args.id)
     overrides = None
     if args.overrides:
         try:
@@ -213,13 +182,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("capacity", help="ergodic capacity for a fixed link count")
     p.add_argument("--links", type=int, required=True,
                    help="number of available links")
-    p.add_argument("--a", type=float, help="LOS amplitude (0 = NLOS)")
-    p.add_argument("--method", choices=["exact", "approx"])
+    p.add_argument("--a", type=float, default=0.0, help="LOS amplitude (0 = NLOS)")
+    p.add_argument("--method", choices=_METHODS)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("outage", help="outage probability at a rate or rate grid")
     _add_scenario_flags(p)
-    p.add_argument("--method", choices=["exact", "approx"])
+    p.add_argument("--method", choices=_METHODS)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--rate", type=float, help="single rate, bits")
     group.add_argument("--rate-grid", help="lo:hi:step sweep")
@@ -228,7 +197,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("eps-capacity", help="eps-outage capacity")
     _add_scenario_flags(p)
-    p.add_argument("--method", choices=["exact", "approx"])
+    p.add_argument("--method", choices=_METHODS)
     p.add_argument("--eps", type=float, required=True,
                    help="tolerated outage probability")
     p.set_defaults(func=_cmd_eps_capacity)
@@ -244,7 +213,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("figure", help="reproduce a published figure dataset")
-    p.add_argument("--id", required=True, help="figure identifier slug")
+    p.add_argument("--id", required=True, choices=[f.value for f in report.FigureId],
+                   help="figure identifier slug")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--overrides", help="JSON object of parameter overrides")
     p.set_defaults(func=_cmd_figure)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .specfun import whole_numbers
+from .specfun import whole_number
 
 __all__ = ["AccuracyWarning", "hankel_transform", "PhasorSumDistribution"]
 
@@ -185,7 +185,7 @@ class PhasorSumDistribution:
     n_links: int
 
     def __post_init__(self):
-        whole_numbers(self.n_links, 1, "n_links")
+        whole_number(self.n_links, 1, "n_links")
 
     def _check_domain(self, s):
         if not np.all((0.0 <= s) & (s <= self.n_links)):

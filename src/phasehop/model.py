@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import DiscreteDistribution, binomial, poisson_binomial, whole_numbers
+from .specfun import (DiscreteDistribution, binomial, is_real, poisson_binomial,
+                      whole_number)
 
 __all__ = ["Scheme", "Scenario", "symbol_capacity"]
 
@@ -33,8 +34,9 @@ class Scenario:
 
     link_probs is either a scalar p applied to all elements or a length-n
     vector of per-element connection probabilities. los_amplitude = 0
-    encodes the NLOS case. quant_levels is required by the quantized
-    scheme and rejected by the others.
+    encodes the NLOS case. scheme is a Scheme or its value, such as
+    "static". quant_levels is required by the quantized scheme and
+    rejected by the others.
     """
 
     n_elements: int
@@ -45,35 +47,43 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "n_elements",
-                           whole_numbers(self.n_elements, 1, "n_elements"))
-        p = np.atleast_1d(np.asarray(self.link_probs, dtype=float))
-        if p.size not in (1, self.n_elements):
+                           whole_number(self.n_elements, 1, "n_elements"))
+        p = self.link_probs
+        if isinstance(p, np.ndarray):
+            p = p.tolist()  # numbers for 0-d and 1-d, nested lists beyond
+        if is_real(p):
+            p = float(p)
+        elif isinstance(p, (list, tuple)) and all(map(is_real, p)):
+            p = tuple(map(float, p))
+        else:
+            raise ValueError(
+                f"link_probs must be a number or a flat list of numbers, got {p!r}")
+        probs = np.atleast_1d(p)
+        if probs.size not in (1, self.n_elements):
             raise ValueError(
                 f"link_probs must be scalar or length {self.n_elements}, "
-                f"got length {p.size}"
+                f"got length {probs.size}"
             )
-        if np.any(p < 0) or np.any(p > 1):
-            raise ValueError("connection probabilities must lie in [0, 1]")
-        if not 0.0 <= self.los_amplitude < np.inf:
-            raise ValueError(
-                f"los_amplitude must be a finite number >= 0, got {self.los_amplitude}")
+        if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
+            raise ValueError(f"connection probabilities must lie in [0, 1], got {p}")
+        object.__setattr__(self, "link_probs", p)
+        a = self.los_amplitude
+        if not (is_real(a) and 0.0 <= a < np.inf):
+            raise ValueError(f"los_amplitude must be a finite number >= 0, got {a!r}")
+        object.__setattr__(self, "los_amplitude", float(a))
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.scheme is Scheme.QUANTIZED:
             if self.quant_levels is None:
                 raise ValueError("quantized scheme requires quant_levels >= 2")
             object.__setattr__(self, "quant_levels",
-                               whole_numbers(self.quant_levels, 2, "quant_levels"))
+                               whole_number(self.quant_levels, 2, "quant_levels"))
         elif self.quant_levels is not None:
             raise ValueError(f"{self.scheme.value} scheme takes no quant_levels")
-        if isinstance(self.link_probs, (list, np.ndarray)):
-            object.__setattr__(self, "link_probs", tuple(float(v) for v in p))
 
     @property
     def prob_vector(self) -> np.ndarray:
         """Per-element connection probabilities as a length-n array."""
-        p = np.atleast_1d(np.asarray(self.link_probs, dtype=float))
-        if p.size == 1:
-            return np.full(self.n_elements, float(p[0]))
-        return p
+        return np.resize(self.link_probs, self.n_elements)  # repeats a scalar
 
     @property
     def is_homogeneous(self) -> bool:
@@ -95,7 +105,7 @@ class Scenario:
         """JSON-friendly representation, inverse of from_dict."""
         d = {
             "n": self.n_elements,
-            "p": self.link_probs if np.isscalar(self.link_probs)
+            "p": self.link_probs if isinstance(self.link_probs, float)
             else list(self.link_probs),
             "a": self.los_amplitude,
             "scheme": self.scheme.value,
@@ -106,13 +116,14 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
-        p = d["p"]
+        """Scenario of a to_dict mapping; the constructor checks each value.
+        A "k" of None is an error here, not the absence of levels."""
         return cls(
             n_elements=d["n"],
-            link_probs=tuple(p) if isinstance(p, (list, tuple)) else float(p),
-            los_amplitude=float(d.get("a", 0.0)),
-            scheme=Scheme(d.get("scheme", "hopping")),
-            quant_levels=d.get("k"),
+            link_probs=d["p"],
+            los_amplitude=d.get("a", 0.0),
+            scheme=d.get("scheme", "hopping"),
+            quant_levels=whole_number(d["k"], 2, "quant_levels") if "k" in d else None,
         )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Scenario, Scheme, symbol_capacity
-from .specfun import whole_numbers
+from .specfun import whole_number
 
 __all__ = [
     "McConfig",
@@ -54,10 +54,16 @@ _BLOCK = 256
 
 def _checked_seed(seed) -> int:
     """seed as an int: a whole number in [0, 2^64), the range of a Philox key word."""
-    seed = whole_numbers(seed, 0, "seed")
+    seed = whole_number(seed, 0, "seed")
     if seed >= 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
+
+
+def _stream(seed: int, b: int) -> np.random.Generator:
+    """The Philox stream keyed by the two 64-bit words (seed, b). A list key
+    would become float64 from seed 2^63 up, and merge or wrap those seeds."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class McConfig:
 
     def __post_init__(self):
         for name in ("slow_samples", "fast_samples"):
-            object.__setattr__(self, name, whole_numbers(getattr(self, name), 1, name))
+            object.__setattr__(self, name, whole_number(getattr(self, name), 1, name))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
         if self.slow_samples * self.fast_samples > 10**10:
             raise ValueError(
@@ -147,7 +153,7 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
     """Capacities and link counts of the slow samples in block b."""
     sc = config.scenario
     m = min(_BLOCK, config.slow_samples - b * _BLOCK)
-    rng = np.random.Generator(np.random.Philox(key=[config.seed, b]))
+    rng = _stream(config.seed, b)
     avail = rng.random((m, sc.n_elements)) < probs
     phi = rng.random((m, sc.n_elements)) * _TWO_PI
     los = sc.los_amplitude * np.exp(1j * _TWO_PI * rng.random(m))
@@ -196,10 +202,10 @@ def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     k_levels-point phase grid, drawn and summed as in the fast loop: phases
     and cosines in float32, link-major, the sum in float64. The seed is
     checked as McConfig checks it."""
-    n = whole_numbers(n, 1, "n")
-    k_levels = whole_numbers(k_levels, 2, "k_levels")
-    samples = whole_numbers(samples, 1, "samples")
-    rng = np.random.Generator(np.random.Philox(key=[_checked_seed(seed), 0]))
+    n = whole_number(n, 1, "n")
+    k_levels = whole_number(k_levels, 2, "k_levels")
+    samples = whole_number(samples, 1, "samples")
+    rng = _stream(_checked_seed(seed), 0)
     out = np.empty(samples)
     chunk = _chunk_rows(n)
     for pos in range(0, samples, chunk):

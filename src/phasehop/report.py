@@ -17,7 +17,7 @@ import numpy as np
 from . import analytic, montecarlo
 from .analytic import CapacityMethod
 from .model import Scenario, Scheme
-from .specfun import whole_numbers
+from .specfun import is_real, whole_number
 
 __all__ = ["FigureId", "FigureDataset", "build_figure", "csv_lines", "write_csv",
            "write_json", "read_csv", "read_json"]
@@ -114,11 +114,10 @@ def _like_default(key: str, default, value):
         if not isinstance(value, (list, tuple)) or not value:
             raise ValueError(f"override {key!r} must be a non-empty list, got {value!r}")
         return tuple(_like_default(key, default[0], v) for v in value)
-    real = (int, float, np.integer, np.floating)
-    if isinstance(value, bool) or not isinstance(value, real):
+    if not is_real(value):
         raise ValueError(f"override {key!r} must be a number, got {value!r}")
     if isinstance(default, int):
-        return whole_numbers(value, 0 if key == "seed" else 1, key)
+        return whole_number(value, 0 if key == "seed" else 1, key)
     return float(value)
 
 

@@ -19,9 +19,10 @@ __all__ = [
     "binomial",
     "poisson_binomial",
     "quantile",
+    "is_real",
+    "whole_number",
     "whole_numbers",
 ]
-
 
 def cal_e(x):
     """E(x) = -exp(x)*Ei(-x) = exp(x)*E1(x) at each x > 0, strictly
@@ -58,22 +59,34 @@ def cal_e_inverse(y):
     return float(x) if x.ndim == 0 else x
 
 
-def whole_numbers(values, least: int, name: str):
-    """values as an int for a scalar, an int64 array for an array;
-    ValueError unless every entry is a whole number >= least (not NaN, inf
-    or 2.5). A scalar is checked in Python numbers, many times faster than
-    as an array: exact static outage checks one per link count and call.
-    An int is whole at any size, past the float range too."""
-    scalar = np.isscalar(values)
-    if scalar:
-        whole = values >= least and (isinstance(values, (int, np.integer))
-                                     or float(values).is_integer())
-    else:
-        x = np.asarray(values, dtype=float)
-        whole = np.all((x >= least) & (x < np.inf) & (x == np.floor(x)))
-    if not whole:
-        raise ValueError(f"{name} must be a whole number >= {least}, got {values}")
-    return int(values) if scalar else x.astype(np.int64)
+def is_real(value) -> bool:
+    """Whether value is one real number: a Python or numpy int or float,
+    not a bool, a string, None or a container."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
+def whole_number(value, least: int, name: str) -> int:
+    """value as an int; ValueError unless it is one whole number >= least
+    (not NaN, inf, 2.5, a bool, a string, None or an array). It is checked
+    in Python numbers, many times faster than as an array: exact static
+    outage checks one per link count and call. An int is whole at any
+    size, past the float range too."""
+    if not (is_real(value) and value >= least and (
+            isinstance(value, (int, np.integer)) or float(value).is_integer())):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
+def whole_numbers(values, least: int, name: str) -> np.ndarray:
+    """values, a number or an array of them, as an int64 array of the same
+    shape; ValueError unless every entry is a whole number >= least (not
+    NaN, inf, 2.5, a bool, a string or None)."""
+    x = np.asarray(values)
+    if not (x.dtype.kind in "iuf" and np.all(
+            (x >= least) & (x < np.inf) & (x == np.floor(x)))):
+        raise ValueError(f"{name} must be a whole number >= {least}, got {values!r}")
+    return x.astype(np.int64)
 
 
 def marcum_q1(a, b):

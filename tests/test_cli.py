@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -239,6 +243,48 @@ class TestConfigFile:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("cfg", [
+        {"n": "20", "p": 0.5}, {"n": True, "p": 0.5},
+        {"n": 20, "p": "0.5"}, {"n": 20, "p": []}, {"n": 20, "p": [[0.5]]},
+        {"n": 20, "p": 0.5, "a": "1"}, {"n": 20, "p": 0.5, "a": None},
+        {"n": 20, "p": 0.5, "scheme": None}, {"n": 20, "p": 0.5, "method": ["exact"]},
+        {"n": 20, "p": 0.5, "extra": 1}, [{"n": 20, "p": 0.5}],
+        {"n": 20, "p": 0.5, "mc": {"slow": "5"}},
+        # null is no default: "k" and "method" were rejected as null
+        {"n": 20, "p": 0.5, "k": None}, {"n": 20, "p": 0.5, "method": None},
+        {"n": 20, "p": 0.5, "mc": None}, {"n": 20, "p": 0.5, "mc": {"slow": True}},
+        {"n": 20, "p": 0.5, "mc": {"extra": 1}},
+        {"n": 20, "p": float("nan")},  # json reads NaN
+    ], ids=json.dumps)
+    def test_invalid_config(self, capsys, tmp_path, cfg):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        for args in (("outage", "--rate", "1"), ("mc", "--slow", "2", "--fast", "2")):
+            code, out, err = run_cli(capsys, args[0], "--config", str(path), *args[1:])
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cfg, key", [
+        ({"n": 20, "p": 0.5, "extra": 1}, "'extra'"),
+        ({"n": 20, "p": 0.5, "mc": {"slow": 5, "runs": 1}}, "'mc.runs'"),
+    ])
+    def test_unknown_key_named(self, capsys, tmp_path, cfg, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "outage", "--config", str(path), "--rate", "1")
+        assert (code, err) == (2, f"error: unknown config key {key} in {path}\n")
+
+    def test_runs_without_jsonschema(self, tmp_path):
+        # the config is checked by the library alone
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 20, "p": 0.5, "mc": {"seed": 1}}))
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.modules['jsonschema'] = None; from phasehop.cli import main; "
+                f"sys.exit(main(['outage', '--config', {str(path)!r}, '--rate', '1']))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, "2.00272e-05\n", "")
+
     def test_mc_block_from_config(self, capsys, tmp_path):
         cfg = {"n": 5, "p": 0.5, "scheme": "hopping",
                "mc": {"slow": 7, "fast": 20, "seed": 2}}
@@ -288,6 +334,19 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ("outage", "--n", "20", "--p", "nan", "--rate", "1"),
+        ("outage", "--n", "20", "--p", "nan", "--scheme", "static", "--rate", "1"),
+        ("outage", "--n", "3", "--p", "0.5,nan,0.5", "--rate", "1"),
+        ("mc", "--n", "20", "--p", "nan", "--slow", "5", "--fast", "5"),
+    ])
+    def test_nan_probability(self, capsys, args):
+        # printed nan or zero capacities with exit 0, or a broadcast error
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: connection probabilities must lie in [0, 1]")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("args", [
         ("outage", "--n", "20", "--p", "0.5", "--scheme", "hopping", "--k", "4",

@@ -47,6 +47,44 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(5, 0.5, scheme=Scheme.QUANTIZED, quant_levels=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_elements", "20"), ("n_elements", True), ("n_elements", None),
+        ("n_elements", [20]),
+        ("link_probs", "0.5"), ("link_probs", True), ("link_probs", None),
+        ("link_probs", [[0.5]]), ("link_probs", np.full((1, 1), 0.5)),
+        ("link_probs", (0.5, "0.5", 0.5)), ("link_probs", [True, 0.5, 0.5]),
+        ("link_probs", np.nan), ("link_probs", (0.5, np.nan, 0.5)),
+        ("los_amplitude", "1"), ("los_amplitude", True), ("los_amplitude", None),
+        ("quant_levels", "4"), ("quant_levels", True),
+    ])
+    def test_rejects_non_numbers(self, field, value):
+        # "20" raised TypeError; True, None, "0.5" and [[0.5]] were accepted
+        args = {"n_elements": 3, "link_probs": 0.5, "scheme": Scheme.QUANTIZED,
+                "quant_levels": 4, field: value}
+        with pytest.raises(ValueError, match=field if field != "link_probs" else "prob"):
+            Scenario(**args)
+
+    def test_scheme_checked(self):
+        # a string was kept: montecarlo.run simulated scheme="static" as hopping
+        assert Scenario(4, 0.5, scheme="static").scheme is Scheme.STATIC
+        for scheme in ("sideways", None, 2):
+            with pytest.raises(ValueError, match="not a valid Scheme"):
+                Scenario(4, 0.5, scheme=scheme)
+
+    def test_numbers_stored_as_floats(self):
+        sc = Scenario(3, np.array([0, 1, np.float32(0.5)]), los_amplitude=np.int64(2))
+        assert sc == Scenario(3, (0.0, 1.0, 0.5), 2.0)
+        assert [type(v) for v in (*sc.link_probs, sc.los_amplitude)] == [float] * 4
+        assert type(Scenario(3, np.array(0.5)).link_probs) is float
+
+    def test_from_dict_passes_values_through(self):
+        # from_dict called float() on p and a, so "0.5" and "1" passed
+        for d in ({"n": 3, "p": "0.5"}, {"n": 3, "p": 0.5, "a": "1"},
+                  {"n": 3, "p": 0.5, "a": None},
+                  {"n": 3, "p": 0.5, "k": None}):
+            with pytest.raises(ValueError):
+                Scenario.from_dict(d)
+
     def test_from_dict_rejects_fractional_counts(self):
         # int() used to truncate 2.5 elements to 2 and 2.7 levels to 2
         with pytest.raises(ValueError, match="n_elements must be a whole number"):

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestMcConfig:
             McConfig(Scenario(4, 0.5), 10, 10, seed=2**64)
 
 
+    @pytest.mark.parametrize("value", ["10", True, None, [10]])
+    @pytest.mark.parametrize("field", ["slow_samples", "fast_samples", "seed"])
+    def test_rejects_non_numbers(self, field, value):
+        args = {"scenario": Scenario(4, 0.5), "slow_samples": 10, "fast_samples": 10,
+                "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            McConfig(**args)
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         cfg = McConfig(Scenario(10, 0.5), 50, 200, seed=3)
@@ -66,6 +76,20 @@ class TestDeterminism:
             res = run(cfg, workers=workers)
             np.testing.assert_array_equal(res.per_slow_capacity, ref.per_slow_capacity)
             np.testing.assert_array_equal(res.n_avail, ref.n_avail)
+
+    @pytest.mark.parametrize("scheme", [Scheme.HOPPING, Scheme.STATIC])
+    def test_top_seeds(self, scheme):
+        # a list key became float64 from 2^63 up: 2^63 and 2^63 + 1 drew the
+        # same samples, and 2^64 - 1 was keyed [0, 0] with a RuntimeWarning
+        sc = Scenario(10, 0.5, scheme=scheme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b, top = (run(McConfig(sc, 20, 50, seed=s)).per_slow_capacity
+                         for s in (2**63, 2**63 + 1, 2**64 - 1))
+            sums = [quantized_sum_samples(3, 4, 50, seed=s) for s in (2**63, 2**63 + 1)]
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(top, run(McConfig(sc, 20, 50, seed=0)).per_slow_capacity)
+        assert not np.array_equal(*sums)
 
     def test_seed_changes_output(self):
         sc = Scenario(10, 0.5)

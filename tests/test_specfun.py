@@ -14,6 +14,8 @@ from phasehop.specfun import (
     marcum_q1,
     poisson_binomial,
     quantile,
+    whole_number,
+    whole_numbers,
 )
 
 
@@ -259,3 +261,27 @@ class TestQuantile:
             if d.pmf[k] > 0:
                 assert quantile(d, float(d.cdf[k])) == k + 1
                 assert quantile(d, float(d.cdf[k]) - 1e-12) == k
+
+
+class TestWholeNumbers:
+    @pytest.mark.parametrize("values", [
+        "3", True, np.True_, None, 2.5, np.nan, np.inf, -1, [3],
+    ])
+    def test_scalar_rejected(self, values):
+        # "3" raised TypeError, and True and np.True_ passed as 1
+        with pytest.raises(ValueError, match="k must be a whole number"):
+            whole_number(values, 0, "k")
+
+    @pytest.mark.parametrize("values", [
+        "3", True, None, [3, "4"], np.array([True, False]), [3, None], [3.5], [np.inf],
+    ])
+    def test_array_rejected(self, values):
+        with pytest.raises(ValueError, match="k must be a whole number"):
+            whole_numbers(values, 0, "k")
+
+    def test_accepted(self):
+        assert [whole_number(v, 1, "k") for v in (np.int64(3), 4.0, 2**70)] == [3, 4, 2**70]
+        assert type(whole_number(np.float32(4.0), 1, "k")) is int
+        out = whole_numbers([[0, 2.0], [np.uint8(3), 4]], 0, "k")
+        assert out.dtype == np.int64 and out.tolist() == [[0, 2], [3, 4]]
+        assert whole_numbers(3, 0, "k").shape == ()
