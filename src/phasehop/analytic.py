@@ -25,7 +25,8 @@ from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
 from .model import Scenario, Scheme
-from .specfun import cal_e, cal_e_inverse, marcum_q1, quantile, whole_number, whole_numbers
+from .specfun import (cal_e, cal_e_inverse, is_real, marcum_q1, quantile, whole_number,
+                      whole_numbers)
 
 __all__ = [
     "CapacityMethod",
@@ -134,9 +135,14 @@ def erg_capacity_los(
     a LOS component of finite amplitude a: exact by the phasor-sum
     characteristic function, or approximate by the Gaussian one. A float
     for a whole number, an array for an array of them."""
-    if not 0.0 <= a < np.inf:
-        raise ValueError(f"a must be a finite number >= 0, got {a}")
-    return _capacities(n_avail, a, method)
+    return _capacities(n_avail, _amplitude(a), method)
+
+
+def _amplitude(a) -> float:
+    """a as a float; ValueError unless it is one finite number >= 0."""
+    if not (is_real(a) and 0.0 <= a < np.inf):
+        raise ValueError(f"a must be a finite number >= 0, got {a!r}")
+    return float(a)
 
 
 def _checked(values, name: str) -> np.ndarray:
@@ -260,7 +266,8 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
-    return _like(_static_fixed(links, _snr(_checked(rate, "rate")), a, mode)[..., 0], rate)
+    snr = _snr(_checked(rate, "rate"))
+    return _like(_static_fixed(links, snr, _amplitude(a), mode)[..., 0], rate)
 
 
 def outage_static(

@@ -154,6 +154,10 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
             f"theta of shape {theta.shape} does not match {phi.size} link phases"
         )
     ang = phi[None, :] + theta
-    re = los.real + np.cos(ang).sum(axis=1, dtype=float)
-    im = los.imag + np.sin(ang).sum(axis=1, dtype=float)
+    return _capacity(los.real + np.cos(ang).sum(axis=1, dtype=float),
+                     los.imag + np.sin(ang).sum(axis=1, dtype=float))
+
+
+def _capacity(re, im):
+    """log2(1+|h|^2) in bits for the channel h = re + j*im."""
     return np.log2(1.0 + re * re + im * im)

@@ -3,16 +3,24 @@
 Slow samples (link availability, channel phases and the LOS phase) come in
 blocks of 256, and block b draws from the Philox stream keyed by (seed, b).
 Results are therefore bit-identical for any number of workers, which are
-threads over blocks: a run of at most 256 slow samples uses one thread.
-Static and perfect are evaluated per block; hopping and quantized average
-the capacity over per-symbol surface phases in a fast loop.
+threads over blocks; with one block or one worker the blocks run in the
+calling thread. Hopping and quantized average the capacity over
+per-symbol surface phases in a fast loop. Perfect reads only the link
+states, the first draw of each stream. Static is evaluated a whole block
+at a time: its rows are sorted by link count, cos and sin are taken once
+over all their active phases, and each link count's rows are summed as one
+contiguous slice, with the same bits as `symbol_capacity` row by row.
 
-The fast loop draws those phases in float32: hopping on the grid of
-2*pi/2^24 steps, quantized as float32 multiples of 2*pi/K, and
-`symbol_capacity` then takes the angles and their cos/sin in float32 and
-sums them in float64. A symbol's capacity stays within 1.2e-6 bits per
-active link of the float64 result on the same phases (tests/test_model.py),
-far inside the fast loop's own noise.
+The fast loop draws its surface phases in float32: hopping on the grid of
+2*pi/2^24 steps, cut from raw Philox words exactly as
+Generator.random(dtype=float32) cuts them (two per word, low half first,
+the unused high half of an odd count carried to the next draw), quantized
+as float32 multiples of 2*pi/K; `symbol_capacity` then takes the angles
+and their cos/sin in float32 and sums them in float64. A symbol's capacity
+stays within 1.2e-6 bits per active link of the float64 result on the same
+phases (tests/test_model.py), far inside the fast loop's own noise. The
+static path keeps float64: its cos/sin are the floor of its cost, but
+float32 would lose digits of the capacities themselves.
 
 The phases are drawn link-major, k links x symbols, and handed to
 `symbol_capacity` transposed, so its float64 sums over the links run along
@@ -29,13 +37,14 @@ and serves as its independent cross-check.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Scenario, Scheme, symbol_capacity
+from .model import Scenario, Scheme, _capacity, symbol_capacity
 from .specfun import whole_number
 
 __all__ = [
@@ -47,7 +56,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_TWO_PI32 = np.float32(_TWO_PI)
+_PHASE_STEP32 = np.float32(_TWO_PI) * np.float32(2.0**-24)  # exact: a power of 2
 _CHUNK = 2**18  # phases per fast-loop or quantized-sum chunk
 _BLOCK = 256
 
@@ -149,26 +158,75 @@ def _levels(rng, levels: int, shape) -> np.ndarray:
                        dtype=np.float32)
 
 
+def _uniform_phases(bit_generator):
+    """A draw(shape) of float32 phases on the grid of 2*pi/2^24 steps: the
+    values of Generator.random(shape, dtype=float32) * float32(2*pi) on a
+    generator of the same state, cut from raw 64-bit words.
+
+    Each word gives two draws, its low half first (a uint32 view of the
+    words, on a little-endian machine), each half shifted down to its top
+    24 bits. A count that leaves the high half of the last word
+    unused carries it to the next draw, as numpy's own buffer of one half
+    would; random_raw bypasses that buffer, as the level draw does."""
+    carry = np.empty(0, dtype=np.uint32)
+
+    def draw(shape):
+        nonlocal carry
+        count = math.prod(shape)
+        halves = bit_generator.random_raw((count - carry.size + 1) // 2).view(np.uint32)
+        if carry.size:
+            halves = np.concatenate((carry, halves))
+        halves, carry = halves[:count], halves[count:].copy()
+        halves >>= 8
+        return np.multiply(halves.reshape(shape), _PHASE_STEP32, dtype=np.float32)
+
+    return draw
+
+
+def _static_capacities(phi: np.ndarray, avail: np.ndarray, n_avail: np.ndarray,
+                       los: np.ndarray) -> np.ndarray:
+    """Capacity of each row's channel los + sum of exp(j*phi) over its
+    available links: symbol_capacity(zeros(k), phi[i, avail[i]][None], los[i])
+    for each row i with k links, bit for bit, a whole block at a time.
+
+    The rows are sorted by link count (stably) and their active phases
+    gathered once in that order, so cos and sin run once over the block and
+    each link count's rows are one contiguous k-wide slice, summed row by
+    row (pairwise) as symbol_capacity sums them."""
+    order = np.argsort(n_avail, kind="stable")
+    active = phi[order][avail[order]]
+    cos, sin = np.cos(active), np.sin(active)
+    re, im = np.empty(n_avail.size), np.empty(n_avail.size)
+    counts = np.bincount(n_avail)
+    row = start = 0
+    for k in np.flatnonzero(counts):
+        rows = counts[k]
+        stop = start + rows * k
+        re[row : row + rows] = cos[start:stop].reshape(rows, k).sum(axis=1)
+        im[row : row + rows] = sin[start:stop].reshape(rows, k).sum(axis=1)
+        row, start = row + rows, stop
+    los = los[order]
+    caps = np.empty(n_avail.size)
+    caps[order] = _capacity(los.real + re, los.imag + im)
+    return caps
+
+
 def _block(config: McConfig, probs: np.ndarray, b: int):
     """Capacities and link counts of the slow samples in block b."""
     sc = config.scenario
     m = min(_BLOCK, config.slow_samples - b * _BLOCK)
     rng = _stream(config.seed, b)
     avail = rng.random((m, sc.n_elements)) < probs
+    n_avail = avail.sum(axis=1)
+    if sc.scheme is Scheme.PERFECT:  # reads nothing more of the stream
+        return np.log2(1.0 + (sc.los_amplitude + n_avail) ** 2), n_avail
     phi = rng.random((m, sc.n_elements)) * _TWO_PI
     los = sc.los_amplitude * np.exp(1j * _TWO_PI * rng.random(m))
-    n_avail = avail.sum(axis=1)
-    if sc.scheme is Scheme.PERFECT:
-        return np.log2(1.0 + (sc.los_amplitude + n_avail) ** 2), n_avail
-    caps = np.empty(m)
     if sc.scheme is Scheme.STATIC:
-        # one call per link count k; the static phases take the theta slot
-        for k in np.unique(n_avail):
-            rows = np.flatnonzero(n_avail == k)
-            theta = phi[rows][avail[rows]].reshape(rows.size, k)
-            caps[rows] = symbol_capacity(np.zeros(k), theta, los[rows])
-        return caps, n_avail
+        return _static_capacities(phi, avail, n_avail, los), n_avail
+    caps = np.empty(m)
     levels = sc.quant_levels
+    phases = _uniform_phases(rng.bit_generator)
     for row in range(m):
         phi_act = phi[row, avail[row]]
         chunk = _chunk_rows(phi_act.size)
@@ -179,20 +237,25 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
             if sc.scheme is Scheme.QUANTIZED:
                 theta = _levels(rng, levels, shape)
             else:
-                theta = rng.random(shape, dtype=np.float32) * _TWO_PI32
+                theta = phases(shape)
             total += float(symbol_capacity(phi_act, theta.T, los[row]).sum())
         caps[row] = total / config.fast_samples
     return caps, n_avail
 
 
 def run(config: McConfig, workers: int = 1) -> McResult:
-    """Simulate all slow samples, one block per task on up to `workers` threads."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    """Simulate all slow samples, one block per task on up to `workers`
+    threads; with one block or one worker, in the calling thread."""
+    workers = whole_number(workers, 1, "workers")
     probs = config.scenario.prob_vector
     n_blocks = -(-config.slow_samples // _BLOCK)
-    with ThreadPoolExecutor(max_workers=min(workers, n_blocks)) as pool:
-        blocks = list(pool.map(lambda b: _block(config, probs, b), range(n_blocks)))
+    threads = min(workers, n_blocks)
+    task = functools.partial(_block, config, probs)
+    if threads == 1:  # a one-thread pool adds ~0.5 ms of start-up and hand-offs
+        blocks = list(map(task, range(n_blocks)))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(task, range(n_blocks)))
     caps, n_avail = zip(*blocks)
     return McResult(np.concatenate(caps), np.concatenate(n_avail), config)
 
@@ -206,11 +269,12 @@ def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     k_levels = whole_number(k_levels, 2, "k_levels")
     samples = whole_number(samples, 1, "samples")
     rng = _stream(_checked_seed(seed), 0)
+    phases = _uniform_phases(rng.bit_generator)
     out = np.empty(samples)
     chunk = _chunk_rows(n)
     for pos in range(0, samples, chunk):
         m = min(chunk, samples - pos)
-        phi = rng.random((n, m), dtype=np.float32) * _TWO_PI32
+        phi = phases((n, m))
         theta = _levels(rng, k_levels, (n, m))
         out[pos : pos + m] = np.cos(phi + theta).sum(axis=0, dtype=float)
     return out

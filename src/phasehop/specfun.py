@@ -81,10 +81,14 @@ def whole_number(value, least: int, name: str) -> int:
 def whole_numbers(values, least: int, name: str) -> np.ndarray:
     """values, a number or an array of them, as an int64 array of the same
     shape; ValueError unless every entry is a whole number >= least (not
-    NaN, inf, 2.5, a bool, a string or None)."""
+    NaN, inf, 2.5, a bool, a string or None). An array is checked by its
+    dtype alone; a list is checked entry by entry as well, since numpy
+    turns [True, 2] into an int array."""
     x = np.asarray(values)
     if not (x.dtype.kind in "iuf" and np.all(
-            (x >= least) & (x < np.inf) & (x == np.floor(x)))):
+            (x >= least) & (x < np.inf) & (x == np.floor(x))) and (
+            isinstance(values, np.ndarray) or is_real(values)
+            or all(map(is_real, np.asarray(values, dtype=object).flat)))):
         raise ValueError(f"{name} must be a whole number >= {least}, got {values!r}")
     return x.astype(np.int64)
 

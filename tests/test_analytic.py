@@ -113,8 +113,8 @@ class TestErgCapacityLos:
 
     @pytest.mark.parametrize("method", [EXACT, APPROX])
     def test_non_finite_amplitude_rejected(self, method):
-        # inf used to give 0.0 and NaN gave NaN
-        for a in (np.nan, np.inf, -1.0):
+        # inf used to give 0.0 and NaN gave NaN; "2" raised TypeError
+        for a in (np.nan, np.inf, -1.0, "2", True, None):
             with pytest.raises(ValueError, match="finite number >= 0"):
                 erg_capacity_los(3, a, method)
 
@@ -292,6 +292,13 @@ class TestOutageStaticFixed:
                 outage_static_fixed(n, 1.0, a, method)
         assert outage_static_fixed(np.int64(3), 1.0, a, method) == outage_static_fixed(
             3, 1.0, a, method)
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_amplitude_rejected(self, method):
+        # the amplitude was not checked: -1.0 gave the outage at a = 1 and inf gave 0.0
+        for a in (-1.0, np.inf, np.nan, "2", True, None):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                outage_static_fixed(5, 1.0, a, method)
 
     def test_exact_requires_nlos(self):
         with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ import pytest
 from scipy.stats import chi2
 
 from phasehop.analytic import outage_hopping, outage_static, CapacityMethod
-from phasehop.model import Scenario, Scheme
+from phasehop.model import Scenario, Scheme, symbol_capacity
 from phasehop.montecarlo import (
     _levels,
+    _static_capacities,
+    _uniform_phases,
     McConfig,
     McResult,
     quantized_sum_moments,
@@ -91,6 +93,22 @@ class TestDeterminism:
         assert not np.array_equal(top, run(McConfig(sc, 20, 50, seed=0)).per_slow_capacity)
         assert not np.array_equal(*sums)
 
+    def test_schemes_share_link_draws(self):
+        # every scheme draws the link states first from the same stream
+        sc = dict(n_elements=10, link_probs=(0.2, 0.4, 0.5, 0.9) * 2 + (0.6, 0.7),
+                  los_amplitude=0.5)
+        links = [run(McConfig(Scenario(**sc, scheme=scheme), 300, 21, seed=9)).n_avail
+                 for scheme in (Scheme.STATIC, Scheme.PERFECT, Scheme.HOPPING)]
+        np.testing.assert_array_equal(links[0], links[1])
+        np.testing.assert_array_equal(links[0], links[2])
+
+    @pytest.mark.parametrize("workers", [0, 2.5, "2", True, None])
+    def test_workers_checked(self, workers):
+        # 2.5 was accepted and "2" raised TypeError; NaN hung with no thread
+        # started, and is left out here so that a regression cannot hang
+        with pytest.raises(ValueError, match="workers must be a whole number"):
+            run(McConfig(Scenario(4, 0.5), 10, 10), workers=workers)
+
     def test_seed_changes_output(self):
         sc = Scenario(10, 0.5)
         a = run(McConfig(sc, 20, 100, seed=1)).per_slow_capacity
@@ -145,6 +163,55 @@ class TestSchemes:
         sc = Scenario(16, 0.5, scheme=Scheme.QUANTIZED, quant_levels=2)
         caps = run(McConfig(sc, 30, 200, seed=4)).per_slow_capacity
         assert np.all(caps >= 0)
+
+
+def _static_block(rows, n, a, seed):
+    """Link states, phases and LOS phasors of a block of static slow
+    samples, with row link counts spread over 0..n."""
+    rng = np.random.default_rng(seed)
+    avail = rng.random((rows, n)) < rng.random((rows, 1))
+    phi = rng.random((rows, n)) * 2 * np.pi
+    los = a * np.exp(2j * np.pi * rng.random(rows))
+    return phi, avail, los
+
+
+class TestStaticCapacities:
+    @pytest.mark.parametrize("a", [0.0, 1.3])
+    @pytest.mark.parametrize("rows, n, links", [
+        (300, 30, None), (40, 12, None), (1, 30, None), (1, 30, 0), (1, 30, 30)])
+    def test_matches_symbol_capacity_per_row(self, rows, n, links, a):
+        phi, avail, los = _static_block(rows, n, a, seed=[rows, n])
+        if links is not None:
+            avail[:] = links > 0
+        if rows > 1:  # no link and every link, next to the rest
+            avail[0], avail[-1] = False, True
+        n_avail = avail.sum(axis=1)
+        assert rows == 1 or (n_avail.min() == 0 and n_avail.max() == n
+                             and np.sum(n_avail >= 9) > 1)
+        caps = _static_capacities(phi, avail, n_avail, los)
+        ref = np.concatenate([symbol_capacity(np.zeros(k), phi[i, avail[i]][None], los[i])
+                              for i, k in enumerate(n_avail)])
+        np.testing.assert_array_equal(caps, ref)
+
+
+class TestUniformPhases:
+    def test_matches_numpy_float32_draw(self):
+        # odd counts leave half a word; numpy keeps it for the next float32
+        # draw, and a raw-word draw in between (as a level draw) skips it
+        key = np.array([11, 3], dtype=np.uint64)
+        raw = np.random.Philox(key=key)
+        twin = np.random.Generator(np.random.Philox(key=key))
+        draw = _uniform_phases(raw)
+        shapes = [(3, 5), (2, 2), (1, 1), (0, 4), (7, 3), (4, 4), (3, 87381), (1, 3),
+                  (2, 6), (5, 0), (9, 1)]
+        for i, shape in enumerate(shapes):
+            x = draw(shape)
+            ref = twin.random(shape, dtype=np.float32) * np.float32(2 * np.pi)
+            assert x.dtype == np.float32 and x.shape == shape
+            np.testing.assert_array_equal(x, ref)
+            if i % 3 == 2:
+                np.testing.assert_array_equal(raw.random_raw(2),
+                                              twin.bit_generator.random_raw(2))
 
 
 class TestLevels:

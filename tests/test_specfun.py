@@ -274,8 +274,10 @@ class TestWholeNumbers:
 
     @pytest.mark.parametrize("values", [
         "3", True, None, [3, "4"], np.array([True, False]), [3, None], [3.5], [np.inf],
+        [True, 2], [2, np.True_], [[1, 2], [False, 3]],
     ])
     def test_array_rejected(self, values):
+        # a list mixing bools with numbers became an int array: [True, 2] passed as [1, 2]
         with pytest.raises(ValueError, match="k must be a whole number"):
             whole_numbers(values, 0, "k")
 
