@@ -24,9 +24,9 @@ import numpy as np
 from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
-from .model import Scenario, Scheme
-from .specfun import (cal_e, cal_e_inverse, is_real, marcum_q1, quantile, whole_number,
-                      whole_numbers)
+from .model import Scenario, Scheme, _capacity
+from .specfun import (_nonnegatives, cal_e, cal_e_inverse, is_real, marcum_q1, quantile,
+                      whole_number, whole_numbers)
 
 __all__ = [
     "CapacityMethod",
@@ -109,7 +109,7 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
         # x*x fast path at k = 2, 1 ulp off the general one, so single
         # link counts are served from a table too.
         table = (rows * w).sum(axis=1)
-        table[0] = np.log2(1.0 + a * a)  # no links: the LOS channel alone
+        table[0] = _capacity(a, 0.0)  # no links: the LOS channel alone
     table.setflags(write=False)
     return table
 
@@ -145,15 +145,6 @@ def _amplitude(a) -> float:
     return float(a)
 
 
-def _checked(values, name: str) -> np.ndarray:
-    """values as a float array of at least one dimension; NaN or negative
-    entries raise ValueError."""
-    x = np.atleast_1d(np.asarray(values, dtype=float))
-    if not np.all(x >= 0.0):
-        raise ValueError(f"{name} must be a number >= 0, got {values}")
-    return x
-
-
 def _like(result: np.ndarray, values):
     """A float if the input values were a scalar, else the array result."""
     return float(result[0]) if np.ndim(values) == 0 else result
@@ -180,7 +171,7 @@ def _step_capacities(scenario: Scenario,
     with the LOS phasor (the channel montecarlo simulates)."""
     n, a = scenario.n_elements, scenario.los_amplitude
     if scenario.scheme is Scheme.PERFECT:
-        return np.log2(1.0 + (a + np.arange(n + 1)) ** 2)
+        return _capacity(a + np.arange(n + 1), 0.0)
     return _capacity_table(n, a, method)
 
 
@@ -188,7 +179,7 @@ def _step_outage(scenario: Scenario, rate, caps: np.ndarray):
     """Pr(caps[K] < rate) over the link-count law K, for capacities caps
     increasing in the link count: searchsorted counts the link numbers
     whose capacity lies below each rate."""
-    r = _checked(rate, "rate")
+    r = _nonnegatives(rate, "rate")
     cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
     return _like(cdf0[np.searchsorted(caps, r, "left")], rate)
 
@@ -229,7 +220,7 @@ def eps_capacity(
     if scenario.scheme is not Scheme.STATIC:
         return _like(_step_capacities(scenario, method)[k], eps)
     # static: invert the continuous outage curve, one root search per eps
-    r_max = float(np.log2(1.0 + (scenario.los_amplitude + scenario.n_elements) ** 2))
+    r_max = float(_capacity(scenario.los_amplitude + scenario.n_elements, 0.0))
     lo = 1e-12
     top, bottom = outage_static(scenario, np.array([r_max, lo]), method)
     out = np.where(top <= e, r_max, 0.0)
@@ -266,7 +257,7 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
-    snr = _snr(_checked(rate, "rate"))
+    snr = _snr(_nonnegatives(rate, "rate"))
     return _like(_static_fixed(links, snr, _amplitude(a), mode)[..., 0], rate)
 
 
@@ -286,14 +277,14 @@ def outage_static(
     in any array. A row whose every term is 1 is exactly 1.
     """
     _require(scenario, Scheme.STATIC)
-    r = _checked(rate, "rate")
+    r = _nonnegatives(rate, "rate")
     pmf = scenario.link_count_distribution().pmf
     a = scenario.los_amplitude
     weighted = np.flatnonzero(pmf)
     links = weighted[weighted > 0]
     fixed = _static_fixed(links, _snr(r), a, mode)
     if pmf[0] > 0.0:
-        los_only = r > np.log2(1.0 + a * a)
+        los_only = r > _capacity(a, 0.0)
         fixed = np.concatenate((los_only[..., None], fixed), axis=-1)
     total = (fixed * pmf[weighted]).sum(axis=-1)
     return _like(np.where((fixed == 1.0).all(axis=-1), 1.0, np.minimum(1.0, total)), rate)
@@ -345,7 +336,7 @@ def outage_general_fading(rate, sigma2_cdf: EmpiricalCdf):
     """Outage under phase hopping at each rate for a general fading law of
     the summed link power sigma^2: the cdf at 1 / (2 E^{-1}(R ln 2)), where
     E(x) = -e^x Ei(-x), at 0 for R = 0 and at inf past R ~ 1073."""
-    y = _checked(rate, "rate") * _LN2
+    y = _nonnegatives(rate, "rate") * _LN2
     threshold = np.zeros_like(y)
     with np.errstate(over="ignore"):
         threshold[y > 0] = 1.0 / (2.0 * cal_e_inverse(y[y > 0]))

@@ -159,5 +159,6 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
 
 
 def _capacity(re, im):
-    """log2(1+|h|^2) in bits for the channel h = re + j*im."""
+    """log2(1+|h|^2) in bits for the channel h = re + j*im, the one place
+    it is written: a LOS-only or phase-aligned channel passes im = 0."""
     return np.log2(1.0 + re * re + im * im)

@@ -11,25 +11,26 @@ at a time: its rows are sorted by link count, cos and sin are taken once
 over all their active phases, and each link count's rows are summed as one
 contiguous slice, with the same bits as `symbol_capacity` row by row.
 
-The fast loop draws its surface phases in float32: hopping on the grid of
-2*pi/2^24 steps, cut from raw Philox words exactly as
-Generator.random(dtype=float32) cuts them (two per word, low half first,
-the unused high half of an odd count carried to the next draw), quantized
-as float32 multiples of 2*pi/K; `symbol_capacity` then takes the angles
-and their cos/sin in float32 and sums them in float64. A symbol's capacity
-stays within 1.2e-6 bits per active link of the float64 result on the same
-phases (tests/test_model.py), far inside the fast loop's own noise. The
-static path keeps float64: its cos/sin are the floor of its cost, but
-float32 would lose digits of the capacities themselves.
+The fast loop draws its surface phases in float32 from the grid of K
+levels 2*pi*l/K: the quantized scheme's K, or K = 2^24 for continuous
+hopping, the grid that Generator.random(dtype=float32) * float32(2*pi)
+lies on. `symbol_capacity` then takes the angles and their cos/sin in
+float32 and sums them in float64. A symbol's capacity stays within 1.2e-6
+bits per active link of the float64 result on the same phases
+(tests/test_model.py), far inside the fast loop's own noise. The static
+path keeps float64: its cos/sin are the floor of its cost, but float32
+would lose digits of the capacities themselves.
 
 The phases are drawn link-major, k links x symbols, and handed to
 `symbol_capacity` transposed, so its float64 sums over the links run along
-contiguous memory. A quantized level costs one byte of a raw 64-bit Philox
-word for K <= 256 (two for K <= 65536): each value is masked to the next
-power of two and values >= K are rejected, which makes the draw exactly
-uniform. Every fast-loop and quantized-sum chunk holds about 2^18 phases
-(1 MB of float32), so that its temporaries stay in cache. Samples for a
-given seed differ from those of earlier layouts and draws.
+contiguous memory. A level l is the top bits of one byte of a raw 64-bit
+Philox word for K <= 256, of two bytes for K <= 65536 and of four for
+hopping; values >= K are rejected, which makes the draw exactly uniform.
+At K = 2^24 each uint32 half of a word (low half first) gives the same
+float32 as Generator.random would. Every fast-loop and quantized-sum chunk
+holds about 2^18 phases (1 MB of float32), so that its temporaries stay in
+cache. Samples for a given seed differ from those of earlier layouts and
+draws.
 
 For continuous hopping the expected fast-loop mean given n links is exactly
 C(n, a), whatever the slow phases, so the loop adds only noise to that table
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Scenario, Scheme, _capacity, symbol_capacity
-from .specfun import whole_number
+from .specfun import _nonnegatives, whole_number
 
 __all__ = [
     "McConfig",
@@ -56,7 +57,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_PHASE_STEP32 = np.float32(_TWO_PI) * np.float32(2.0**-24)  # exact: a power of 2
+_HOPPING_LEVELS = 2**24  # the float32 phase grid of continuous hopping
 _CHUNK = 2**18  # phases per fast-loop or quantized-sum chunk
 _BLOCK = 256
 
@@ -119,9 +120,9 @@ class McResult:
         object.__setattr__(self, "_sorted", np.sort(cap))
 
     def outage_at(self, rates) -> np.ndarray:
-        """Empirical outage Pr(C_erg < R): strict left counts at each rate."""
-        r = np.atleast_1d(np.asarray(rates, dtype=float))
-        counts = np.searchsorted(self._sorted, r, side="left")
+        """Empirical outage Pr(C_erg < R): strict left counts at each rate.
+        A NaN or negative rate raises ValueError, as in analytic.outage."""
+        counts = np.searchsorted(self._sorted, _nonnegatives(rates, "rate"), side="left")
         return counts / self._sorted.size
 
 
@@ -133,54 +134,32 @@ def _chunk_rows(width: int) -> int:
 def _levels(rng, levels: int, shape) -> np.ndarray:
     """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1.
 
-    l is cut from raw 64-bit words of rng's bit generator in the smallest
-    unsigned type that holds levels - 1 and masked to the next power of two.
-    Values >= levels are drawn again until they fall below it, so l is
-    exactly uniform; a power of two draws nothing again."""
+    l is the top b = (levels - 1).bit_length() bits of each value cut from
+    raw 64-bit words of rng's bit generator in the smallest unsigned type
+    that holds levels - 1 (low half of a word first, on a little-endian
+    machine). Values >= levels are drawn again until they fall below it, so
+    l is exactly uniform; a power of two draws nothing again. At 2^24
+    levels each uint32 half gives its top 24 bits, which is exactly
+    Generator.random(dtype=float32) * float32(2*pi) on the same words."""
     dtype = np.min_scalar_type(levels - 1)
     if dtype.kind != "u":
         raise ValueError(f"at most 2^64 levels fit a Philox word, got {levels}")
-    top = 1 << (levels - 1).bit_length()
+    shift = dtype.type(8 * dtype.itemsize - (levels - 1).bit_length())
 
     def draw(count):
         words = rng.bit_generator.random_raw(-(-count * dtype.itemsize // 8))
         values = words.view(dtype)[:count]
-        values &= dtype.type(top - 1)
+        values >>= shift
         return values
 
     level = draw(math.prod(shape))
-    if levels < top:  # a power of two rejects nothing
+    if levels & (levels - 1):  # a power of two rejects nothing
         redo = np.flatnonzero(level >= levels)
         while redo.size:
             level[redo] = fresh = draw(redo.size)
             redo = redo[np.flatnonzero(fresh >= levels)]
     return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels),
                        dtype=np.float32)
-
-
-def _uniform_phases(bit_generator):
-    """A draw(shape) of float32 phases on the grid of 2*pi/2^24 steps: the
-    values of Generator.random(shape, dtype=float32) * float32(2*pi) on a
-    generator of the same state, cut from raw 64-bit words.
-
-    Each word gives two draws, its low half first (a uint32 view of the
-    words, on a little-endian machine), each half shifted down to its top
-    24 bits. A count that leaves the high half of the last word
-    unused carries it to the next draw, as numpy's own buffer of one half
-    would; random_raw bypasses that buffer, as the level draw does."""
-    carry = np.empty(0, dtype=np.uint32)
-
-    def draw(shape):
-        nonlocal carry
-        count = math.prod(shape)
-        halves = bit_generator.random_raw((count - carry.size + 1) // 2).view(np.uint32)
-        if carry.size:
-            halves = np.concatenate((carry, halves))
-        halves, carry = halves[:count], halves[count:].copy()
-        halves >>= 8
-        return np.multiply(halves.reshape(shape), _PHASE_STEP32, dtype=np.float32)
-
-    return draw
 
 
 def _static_capacities(phi: np.ndarray, avail: np.ndarray, n_avail: np.ndarray,
@@ -219,14 +198,13 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
     avail = rng.random((m, sc.n_elements)) < probs
     n_avail = avail.sum(axis=1)
     if sc.scheme is Scheme.PERFECT:  # reads nothing more of the stream
-        return np.log2(1.0 + (sc.los_amplitude + n_avail) ** 2), n_avail
+        return _capacity(sc.los_amplitude + n_avail, 0.0), n_avail
     phi = rng.random((m, sc.n_elements)) * _TWO_PI
     los = sc.los_amplitude * np.exp(1j * _TWO_PI * rng.random(m))
     if sc.scheme is Scheme.STATIC:
         return _static_capacities(phi, avail, n_avail, los), n_avail
     caps = np.empty(m)
-    levels = sc.quant_levels
-    phases = _uniform_phases(rng.bit_generator)
+    levels = sc.quant_levels or _HOPPING_LEVELS
     for row in range(m):
         phi_act = phi[row, avail[row]]
         chunk = _chunk_rows(phi_act.size)
@@ -234,10 +212,7 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
         for start in range(0, config.fast_samples, chunk):
             # link-major: symbol_capacity sums each symbol along memory
             shape = (phi_act.size, min(chunk, config.fast_samples - start))
-            if sc.scheme is Scheme.QUANTIZED:
-                theta = _levels(rng, levels, shape)
-            else:
-                theta = phases(shape)
+            theta = _levels(rng, levels, shape)
             total += float(symbol_capacity(phi_act, theta.T, los[row]).sum())
         caps[row] = total / config.fast_samples
     return caps, n_avail
@@ -269,12 +244,11 @@ def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     k_levels = whole_number(k_levels, 2, "k_levels")
     samples = whole_number(samples, 1, "samples")
     rng = _stream(_checked_seed(seed), 0)
-    phases = _uniform_phases(rng.bit_generator)
     out = np.empty(samples)
     chunk = _chunk_rows(n)
     for pos in range(0, samples, chunk):
         m = min(chunk, samples - pos)
-        phi = phases((n, m))
+        phi = _levels(rng, _HOPPING_LEVELS, (n, m))
         theta = _levels(rng, k_levels, (n, m))
         out[pos : pos + m] = np.cos(phi + theta).sum(axis=0, dtype=float)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, montecarlo
 from .analytic import CapacityMethod
-from .model import Scenario, Scheme
+from .model import Scenario, Scheme, _capacity
 from .specfun import is_real, whole_number
 
 __all__ = ["FigureId", "FigureDataset", "build_figure", "csv_lines", "write_csv",
@@ -146,7 +146,7 @@ def _build_erg_cap_los(p):
     mc = []
     for n in ns:
         if n == 0:
-            mc.append(np.log2(1.0 + p["a"] ** 2))
+            mc.append(_capacity(p["a"], 0.0))
             continue
         sc = Scenario(int(n), 1.0, p["a"], Scheme.HOPPING)
         cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])

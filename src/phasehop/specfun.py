@@ -93,6 +93,15 @@ def whole_numbers(values, least: int, name: str) -> np.ndarray:
     return x.astype(np.int64)
 
 
+def _nonnegatives(values, name: str) -> np.ndarray:
+    """values as a float array of at least one dimension; NaN or negative
+    entries raise ValueError."""
+    x = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(x >= 0.0):
+        raise ValueError(f"{name} must be a number >= 0, got {values}")
+    return x
+
+
 def marcum_q1(a, b):
     """Marcum Q1(a, b) = Pr(X > b^2), X ~ noncentral chi^2(2 dof, nc=a^2).
 

@@ -349,6 +349,18 @@ class TestErrors:
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("args", [
+        ("outage", "--n", "4", "--p", "0.5", "--rate-grid", "0:1e12:1e-3"),
+        ("figure", "--id", "scheme-comparison", "--overrides", '{"points": 1000000000000000}'),
+    ])
+    def test_out_of_memory(self, capsys, tmp_path, monkeypatch, args):
+        # 7 PiB grids, past the address space, so numpy fails before it
+        # touches memory; this printed a traceback and exit 1
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
         ("outage", "--n", "20", "--p", "0.5", "--scheme", "hopping", "--k", "4",
          "--rate", "1"),
         ("mc", "--n", "6", "--p", "0.5", "--method", "exact"),

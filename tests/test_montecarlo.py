@@ -10,7 +10,6 @@ from phasehop.model import Scenario, Scheme, symbol_capacity
 from phasehop.montecarlo import (
     _levels,
     _static_capacities,
-    _uniform_phases,
     McConfig,
     McResult,
     quantized_sum_moments,
@@ -101,6 +100,18 @@ class TestDeterminism:
                  for scheme in (Scheme.STATIC, Scheme.PERFECT, Scheme.HOPPING)]
         np.testing.assert_array_equal(links[0], links[1])
         np.testing.assert_array_equal(links[0], links[2])
+
+    @pytest.mark.parametrize("a", [0.0, 1.5])
+    @pytest.mark.parametrize("n, p, fast", [
+        (10, 0.5, 301), (10, 0.5, 400),
+        (3, 1.0, 2 * 87381 + 5),  # rows of three chunks, the first of odd size
+    ])
+    def test_hopping_is_quantized_on_the_float32_grid(self, a, n, p, fast):
+        # continuous hopping draws its phases as 2^24 quantized levels
+        hop, quant = (run(McConfig(Scenario(n, p, a, scheme, quant_levels=k), 20, fast, 13))
+                      for scheme, k in ((Scheme.HOPPING, None), (Scheme.QUANTIZED, 2**24)))
+        np.testing.assert_array_equal(hop.per_slow_capacity, quant.per_slow_capacity)
+        np.testing.assert_array_equal(hop.n_avail, quant.n_avail)
 
     @pytest.mark.parametrize("workers", [0, 2.5, "2", True, None])
     def test_workers_checked(self, workers):
@@ -194,26 +205,6 @@ class TestStaticCapacities:
         np.testing.assert_array_equal(caps, ref)
 
 
-class TestUniformPhases:
-    def test_matches_numpy_float32_draw(self):
-        # odd counts leave half a word; numpy keeps it for the next float32
-        # draw, and a raw-word draw in between (as a level draw) skips it
-        key = np.array([11, 3], dtype=np.uint64)
-        raw = np.random.Philox(key=key)
-        twin = np.random.Generator(np.random.Philox(key=key))
-        draw = _uniform_phases(raw)
-        shapes = [(3, 5), (2, 2), (1, 1), (0, 4), (7, 3), (4, 4), (3, 87381), (1, 3),
-                  (2, 6), (5, 0), (9, 1)]
-        for i, shape in enumerate(shapes):
-            x = draw(shape)
-            ref = twin.random(shape, dtype=np.float32) * np.float32(2 * np.pi)
-            assert x.dtype == np.float32 and x.shape == shape
-            np.testing.assert_array_equal(x, ref)
-            if i % 3 == 2:
-                np.testing.assert_array_equal(raw.random_raw(2),
-                                              twin.bit_generator.random_raw(2))
-
-
 class TestLevels:
     @pytest.mark.parametrize("levels", [2, 3, 5, 7, 256, 257, 1000])
     def test_uniform_on_the_grid(self, levels):
@@ -238,6 +229,18 @@ class TestLevels:
             x = _levels(rng, levels, shape)
             assert x.shape == shape and x.dtype == np.float32
 
+    def test_hopping_grid_is_numpy_float32_draw(self):
+        # at 2^24 levels each uint32 half of a word gives the float32 that
+        # Generator.random gives; even counts leave no half of a word over
+        key = np.array([11, 3], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        twin = np.random.Generator(np.random.Philox(key=key))
+        for shape in [(3, 6), (2, 2), (0, 4), (4, 4), (3, 87382), (1, 2), (5, 0), (2, 7)]:
+            x = _levels(rng, 2**24, shape)
+            ref = twin.random(shape, dtype=np.float32) * np.float32(2 * np.pi)
+            assert x.dtype == np.float32 and x.shape == shape
+            np.testing.assert_array_equal(x, ref)
+
     def test_too_many_levels(self):
         # no unsigned type holds 2^64 levels; this used to be a TypeError
         rng = np.random.Generator(np.random.Philox(key=[0, 0]))
@@ -252,6 +255,14 @@ class TestMcResult:
         assert res.outage_at(1.0)[0] == 0.0
         assert res.outage_at(1.0 + 1e-12)[0] == 0.5
         assert res.outage_at(10.0)[0] == 1.0
+
+    @pytest.mark.parametrize("rate", [np.nan, -1.0, [1.0, np.nan], [-1e-300]])
+    def test_bad_rate_rejected(self, rate):
+        # read 1.0 at NaN and 0.0 at -1, where analytic.outage raises
+        res = McResult(np.array([1.0, 2.0]), np.array([1, 2]),
+                       McConfig(Scenario(2, 0.5), 2, 1))
+        with pytest.raises(ValueError, match="rate must be a number >= 0"):
+            res.outage_at(rate)
 
     def test_n_avail_follows_link_law(self):
         sc = Scenario(6, (0.2, 0.35, 0.5, 0.65, 0.8, 0.9), 0.5, Scheme.PERFECT)

@@ -37,6 +37,12 @@ class TestBuildFigure:
         assert np.all(gap > 0)
         assert np.all(np.diff(gap[5:]) < 0)  # gap shrinks with more links
 
+    def test_erg_cap_los_no_link_row(self):
+        # the LOS-only row took a ** 2, 1 ulp off the analytic a * a at a = 9.072
+        ds = build_figure(FigureId.ERG_CAP_LOS,
+                          {"n": 1, "a": 9.072, "slow": 2, "fast": 2})
+        assert ds.columns["mc"][0] == ds.columns["analytic"][0]
+
     def test_eps_cap_grid(self):
         ds = build_figure(
             FigureId.EPS_CAP_NLOS,
