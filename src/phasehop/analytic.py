@@ -25,8 +25,8 @@ from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
 from .model import Scenario, Scheme, _capacity
-from .specfun import (_nonnegatives, cal_e, cal_e_inverse, is_real, marcum_q1, quantile,
-                      whole_number, whole_numbers)
+from .specfun import (_like, _nonnegatives, cal_e, cal_e_inverse, is_real, marcum_q1,
+                      quantile, whole_number, whole_numbers)
 
 __all__ = [
     "CapacityMethod",
@@ -143,11 +143,6 @@ def _amplitude(a) -> float:
     if not (is_real(a) and 0.0 <= a < np.inf):
         raise ValueError(f"a must be a finite number >= 0, got {a!r}")
     return float(a)
-
-
-def _like(result: np.ndarray, values):
-    """A float if the input values were a scalar, else the array result."""
-    return float(result[0]) if np.ndim(values) == 0 else result
 
 
 def _snr(rates: np.ndarray) -> np.ndarray:

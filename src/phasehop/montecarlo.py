@@ -12,29 +12,49 @@ over all their active phases, and each link count's rows are summed as one
 contiguous slice, with the same bits as `symbol_capacity` row by row.
 
 The fast loop draws its surface phases in float32 from the grid of K
-levels 2*pi*l/K: the quantized scheme's K, or K = 2^24 for continuous
-hopping, the grid that Generator.random(dtype=float32) * float32(2*pi)
-lies on. `symbol_capacity` then takes the angles and their cos/sin in
-float32 and sums them in float64. A symbol's capacity stays within 1.2e-6
-bits per active link of the float64 result on the same phases
-(tests/test_model.py), far inside the fast loop's own noise. The static
-path keeps float64: its cos/sin are the floor of its cost, but float32
-would lose digits of the capacities themselves.
+levels 2*pi*l/K: the quantized scheme's K, or K = 256 for continuous
+hopping, so that each phase costs one byte of a raw 64-bit Philox word.
+256 levels lose nothing the loop can see. Given the slow phases, the
+fast-loop mean averages, link by link, a periodic function of the surface
+phase: with A the rest of the channel, 1 + |A + e^{jz}|^2 =
+2 + |A|^2 + 2|A|cos z has no zero, and stays off the log's branch cut, for
+|Im z| < acosh(sqrt 2) ~ 0.881, whatever A is. Averaging it over a K-point
+grid is the trapezoid rule on a function analytic in that strip, so it
+errs by O(exp(-0.881 K)) (Trefethen and Weideman, "The exponentially
+convergent trapezoidal rule", SIAM Review 56, 2014): at K = 256 the mean
+of a slow sample's fast loop given its slow phases equals the
+continuous-phase mean within about n * 1e-88 bits for n links, and every
+moment of the phasors of degree below 256 is exact. So for continuous
+hopping the expected fast-loop mean given n links is C(n, a), whatever the
+slow phases; the loop adds only noise to that table and serves as its
+independent cross-check.
 
-The phases are drawn link-major, k links x symbols, and handed to
-`symbol_capacity` transposed, so its float64 sums over the links run along
+The angles and their cos/sin are float32 and their sums over the links
+float64, through `model._angle_capacity`, the formula `symbol_capacity`
+uses too. A symbol's capacity stays within 1.2e-6 bits per active link of
+the float64 result on the same phases (tests/test_model.py), and the
+float32 grid step, 2.8e-8 relative off 2*pi/K, moves a fast-loop mean by
+at most 1.3e-7 bits per link; both are far inside the loop's own noise.
+The static path keeps float64: its cos/sin are the floor of its cost, but
+float32 would lose digits of the capacities themselves.
+
+The phases are drawn link-major, k links x symbols, and handed to the
+formula transposed, so its float64 sums over the links run along
 contiguous memory. A level l is the top bits of one byte of a raw 64-bit
-Philox word for K <= 256, of two bytes for K <= 65536 and of four for
-hopping; values >= K are rejected, which makes the draw exactly uniform.
-At K = 2^24 each uint32 half of a word (low half first) gives the same
-float32 as Generator.random would. Every fast-loop and quantized-sum chunk
-holds about 2^18 phases (1 MB of float32), so that its temporaries stay in
-cache. Samples for a given seed differ from those of earlier layouts and
-draws.
+Philox word for K <= 256, of two bytes for K <= 65536 and of four beyond;
+values >= K are rejected, which makes the draw exactly uniform. Every
+fast-loop and quantized-sum chunk holds about 2^18 phases (1 MB of
+float32), so that its temporaries stay in cache. The chunks reuse two
+float32 work arrays, held per block of the fast loop and per call of
+`quantized_sum_samples`: the angles are drawn into the first and the link
+phases added in place, the cosines go into the second and the sines over
+the first. No chunk allocates an array of its phases' size, so the heap
+neither grows nor is trimmed once per chunk.
 
-For continuous hopping the expected fast-loop mean given n links is exactly
-C(n, a), whatever the slow phases, so the loop adds only noise to that table
-and serves as its independent cross-check.
+Samples for a given seed differ from those of earlier layouts and draws;
+the 256-level hopping grid (from 2^24 levels, half a Philox word per
+phase) gave hopping `run` and `quantized_sum_samples` new samples for
+every seed, and left static, perfect and quantized `run` bit-identical.
 """
 from __future__ import annotations
 
@@ -45,8 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Scenario, Scheme, _capacity, symbol_capacity
-from .specfun import _nonnegatives, whole_number
+from .model import Scenario, Scheme, _angle_capacity, _capacity
+from .specfun import _like, _nonnegatives, whole_number
 
 __all__ = [
     "McConfig",
@@ -57,7 +77,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-_HOPPING_LEVELS = 2**24  # the float32 phase grid of continuous hopping
+_HOPPING_LEVELS = 2**8  # the phase grid of continuous hopping: one byte a phase
 _CHUNK = 2**18  # phases per fast-loop or quantized-sum chunk
 _BLOCK = 256
 
@@ -119,11 +139,12 @@ class McResult:
         object.__setattr__(self, "n_avail", links)
         object.__setattr__(self, "_sorted", np.sort(cap))
 
-    def outage_at(self, rates) -> np.ndarray:
-        """Empirical outage Pr(C_erg < R): strict left counts at each rate.
-        A NaN or negative rate raises ValueError, as in analytic.outage."""
+    def outage_at(self, rates) -> float | np.ndarray:
+        """Empirical outage Pr(C_erg < R): strict left counts at each rate,
+        a float for a scalar rate and an array for an array, as in
+        analytic.outage. A NaN or negative rate raises ValueError."""
         counts = np.searchsorted(self._sorted, _nonnegatives(rates, "rate"), side="left")
-        return counts / self._sorted.size
+        return _like(counts / self._sorted.size, rates)
 
 
 def _chunk_rows(width: int) -> int:
@@ -131,16 +152,19 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK // max(width, 1))
 
 
-def _levels(rng, levels: int, shape) -> np.ndarray:
-    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1.
+def _levels(rng, levels: int, shape, out=None) -> np.ndarray:
+    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1,
+    written into out (a float32 array of that shape) if it is given.
 
     l is the top b = (levels - 1).bit_length() bits of each value cut from
     raw 64-bit words of rng's bit generator in the smallest unsigned type
-    that holds levels - 1 (low half of a word first, on a little-endian
-    machine). Values >= levels are drawn again until they fall below it, so
-    l is exactly uniform; a power of two draws nothing again. At 2^24
-    levels each uint32 half gives its top 24 bits, which is exactly
-    Generator.random(dtype=float32) * float32(2*pi) on the same words."""
+    that holds levels - 1: one byte for up to 256 levels, the grid of
+    continuous hopping, two bytes up to 65536 and four beyond (the low end
+    of a word first, on a little-endian machine). Values >= levels are
+    drawn again until they fall below it, so l is exactly uniform; a power
+    of two draws nothing again. At 2^24 levels each uint32 half gives its
+    top 24 bits, which is exactly Generator.random(dtype=float32) *
+    float32(2*pi) on the same words."""
     dtype = np.min_scalar_type(levels - 1)
     if dtype.kind != "u":
         raise ValueError(f"at most 2^64 levels fit a Philox word, got {levels}")
@@ -149,7 +173,8 @@ def _levels(rng, levels: int, shape) -> np.ndarray:
     def draw(count):
         words = rng.bit_generator.random_raw(-(-count * dtype.itemsize // 8))
         values = words.view(dtype)[:count]
-        values >>= shift
+        if shift:  # 256, 65536 and 2^32 levels take whole values
+            values >>= shift
         return values
 
     level = draw(math.prod(shape))
@@ -158,7 +183,7 @@ def _levels(rng, levels: int, shape) -> np.ndarray:
         while redo.size:
             level[redo] = fresh = draw(redo.size)
             redo = redo[np.flatnonzero(fresh >= levels)]
-    return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels),
+    return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels), out=out,
                        dtype=np.float32)
 
 
@@ -200,22 +225,37 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
     if sc.scheme is Scheme.PERFECT:  # reads nothing more of the stream
         return _capacity(sc.los_amplitude + n_avail, 0.0), n_avail
     phi = rng.random((m, sc.n_elements)) * _TWO_PI
-    los = sc.los_amplitude * np.exp(1j * _TWO_PI * rng.random(m))
+    u = rng.random(m)  # drawn at a = 0 too, which keeps the stream in step
+    los = (sc.los_amplitude * np.exp(1j * _TWO_PI * u) if sc.los_amplitude
+           else np.zeros(m, complex))
     if sc.scheme is Scheme.STATIC:
         return _static_capacities(phi, avail, n_avail, los), n_avail
-    caps = np.empty(m)
     levels = sc.quant_levels or _HOPPING_LEVELS
-    for row in range(m):
-        phi_act = phi[row, avail[row]]
-        chunk = _chunk_rows(phi_act.size)
-        total = 0.0
-        for start in range(0, config.fast_samples, chunk):
-            # link-major: symbol_capacity sums each symbol along memory
-            shape = (phi_act.size, min(chunk, config.fast_samples - start))
-            theta = _levels(rng, levels, shape)
-            total += float(symbol_capacity(phi_act, theta.T, los[row]).sum())
-        caps[row] = total / config.fast_samples
-    return caps, n_avail
+    work = [np.empty(max(_CHUNK, sc.n_elements), np.float32) for _ in range(2)]
+    caps = [_fast_mean(rng, phi[row, avail[row]], los[row], levels,
+                       config.fast_samples, work) for row in range(m)]
+    return np.array(caps), n_avail
+
+
+def _fast_mean(rng, phi, los, levels: int, symbols: int, work) -> float:
+    """Mean capacity of one slow sample over `symbols` symbols: its k link
+    phases phi and LOS phasor los stay fixed, and its surface phases are
+    drawn from rng on the grid of `levels` levels, a chunk at a time into
+    the two float32 work arrays `work` (max(_CHUNK, k) entries or more). A
+    chunk's angles are link-major, k x rows, and go to the channel formula
+    transposed, so that its float64 sums over the links run along
+    contiguous memory."""
+    k = phi.size
+    phi = phi.astype(np.float32)[:, None]
+    rows = _chunk_rows(k)
+    total = 0.0
+    for start in range(0, symbols, rows):
+        m = min(rows, symbols - start)
+        ang, cos = work[0][: k * m].reshape(k, m), work[1][: k * m].reshape(k, m)
+        _levels(rng, levels, (k, m), out=ang)
+        ang += phi
+        total += float(_angle_capacity(ang.T, los, cos.T).sum())
+    return total / symbols
 
 
 def run(config: McConfig, workers: int = 1) -> McResult:
@@ -237,20 +277,26 @@ def run(config: McConfig, workers: int = 1) -> McResult:
 
 def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     """Draws of sum_i cos(phi_i + theta_i) with phi uniform and theta on the
-    k_levels-point phase grid, drawn and summed as in the fast loop: phases
-    and cosines in float32, link-major, the sum in float64. The seed is
-    checked as McConfig checks it."""
+    k_levels-point phase grid, drawn and summed as in the fast loop. phi is
+    drawn as continuous hopping draws it, on the 256-point grid from one byte
+    of a Philox word each, which leaves every moment of the sum of degree
+    below 256 as for a uniform phi. Phases and cosines are float32 and
+    link-major, in two work arrays held for the call, and the sum is
+    float64. The seed is checked as McConfig checks it."""
     n = whole_number(n, 1, "n")
     k_levels = whole_number(k_levels, 2, "k_levels")
     samples = whole_number(samples, 1, "samples")
     rng = _stream(_checked_seed(seed), 0)
     out = np.empty(samples)
     chunk = _chunk_rows(n)
+    work = [np.empty(n * chunk, np.float32) for _ in range(2)]
     for pos in range(0, samples, chunk):
         m = min(chunk, samples - pos)
-        phi = _levels(rng, _HOPPING_LEVELS, (n, m))
-        theta = _levels(rng, k_levels, (n, m))
-        out[pos : pos + m] = np.cos(phi + theta).sum(axis=0, dtype=float)
+        phi, theta = (w[: n * m].reshape(n, m) for w in work)
+        _levels(rng, _HOPPING_LEVELS, (n, m), out=phi)
+        _levels(rng, k_levels, (n, m), out=theta)
+        phi += theta
+        out[pos : pos + m] = np.cos(phi, out=phi).sum(axis=0, dtype=float)
     return out
 
 

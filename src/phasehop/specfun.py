@@ -102,6 +102,11 @@ def _nonnegatives(values, name: str) -> np.ndarray:
     return x
 
 
+def _like(result: np.ndarray, values):
+    """A float if the input values were a scalar, else the array result."""
+    return float(result[0]) if np.ndim(values) == 0 else result
+
+
 def marcum_q1(a, b):
     """Marcum Q1(a, b) = Pr(X > b^2), X ~ noncentral chi^2(2 dof, nc=a^2).
 

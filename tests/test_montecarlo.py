@@ -8,6 +8,10 @@ from scipy.stats import chi2
 from phasehop.analytic import outage_hopping, outage_static, CapacityMethod
 from phasehop.model import Scenario, Scheme, symbol_capacity
 from phasehop.montecarlo import (
+    _CHUNK,
+    _HOPPING_LEVELS,
+    _chunk_rows,
+    _fast_mean,
     _levels,
     _static_capacities,
     McConfig,
@@ -107,11 +111,21 @@ class TestDeterminism:
         (3, 1.0, 2 * 87381 + 5),  # rows of three chunks, the first of odd size
     ])
     def test_hopping_is_quantized_on_the_float32_grid(self, a, n, p, fast):
-        # continuous hopping draws its phases as 2^24 quantized levels
+        # continuous hopping draws its phases as 2^8 quantized levels, the
+        # float32 angles 2 pi l/256 from one byte of a Philox word each
         hop, quant = (run(McConfig(Scenario(n, p, a, scheme, quant_levels=k), 20, fast, 13))
-                      for scheme, k in ((Scheme.HOPPING, None), (Scheme.QUANTIZED, 2**24)))
+                      for scheme, k in ((Scheme.HOPPING, None), (Scheme.QUANTIZED, 2**8)))
         np.testing.assert_array_equal(hop.per_slow_capacity, quant.per_slow_capacity)
         np.testing.assert_array_equal(hop.n_avail, quant.n_avail)
+
+    @pytest.mark.parametrize("scheme, k", [(Scheme.STATIC, None), (Scheme.QUANTIZED, 5),
+                                           (Scheme.HOPPING, None)])
+    def test_no_los_keeps_the_stream_in_step(self, scheme, k):
+        # at a = 0 the LOS phasor is not computed, but its phase is still
+        # drawn: a 1e-300 amplitude moves no sum and reads the same stream
+        runs = [run(McConfig(Scenario(10, 0.5, a, scheme, quant_levels=k), 300, 41, 8))
+                for a in (0.0, 1e-300)]
+        np.testing.assert_array_equal(runs[0].per_slow_capacity, runs[1].per_slow_capacity)
 
     @pytest.mark.parametrize("workers", [0, 2.5, "2", True, None])
     def test_workers_checked(self, workers):
@@ -157,7 +171,7 @@ class TestSchemes:
         res = run(McConfig(sc, 400, 4000, seed=17))
         for r in (0.5, 2.3, 3.1):
             ana = outage_hopping(sc, r)
-            emp = float(res.outage_at(r)[0])
+            emp = res.outage_at(r)
             sigma = np.sqrt(max(ana * (1 - ana), 1e-9) / 400)
             assert abs(emp - ana) <= 3 * sigma + 0.01
 
@@ -166,7 +180,7 @@ class TestSchemes:
         res = run(McConfig(sc, 20000, 1, seed=23))
         for r in (1.0, 2.0, 3.0):
             ana = outage_static(sc, r, CapacityMethod.EXACT_HANKEL)
-            emp = float(res.outage_at(r)[0])
+            emp = res.outage_at(r)
             sigma = np.sqrt(max(ana * (1 - ana), 1e-9) / 20000)
             assert abs(emp - ana) <= 3 * sigma + 1e-3
 
@@ -205,6 +219,45 @@ class TestStaticCapacities:
         np.testing.assert_array_equal(caps, ref)
 
 
+class TestFastLoop:
+    @staticmethod
+    def _reference_mean(rng, phi, los, levels, symbols):
+        # the same chunks, drawn afresh and handed to symbol_capacity
+        rows, total = _chunk_rows(phi.size), 0.0
+        for start in range(0, symbols, rows):
+            theta = _levels(rng, levels, (phi.size, min(rows, symbols - start)))
+            total += float(symbol_capacity(phi, theta.T, los).sum())
+        return total / symbols
+
+    @pytest.mark.parametrize("levels", [_HOPPING_LEVELS, 5])
+    @pytest.mark.parametrize("a", [0.0, 1.5])
+    def test_work_arrays_match_symbol_capacity(self, a, levels):
+        # every link first, so that the later rows find the work arrays
+        # dirty; then no link, one link, and a row of three chunks of three
+        # links, the last of odd length
+        n = 12
+        key = np.array([levels, int(10 * a)], dtype=np.uint64)
+        rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+        phases = np.random.default_rng(5).random(n) * 2 * np.pi
+        los = complex(a * np.exp(0.7j))
+        work = [np.empty(max(_CHUNK, n), np.float32) for _ in range(2)]
+        for k, symbols in ((n, 5000), (0, 301), (1, 301), (3, 2 * _chunk_rows(3) + 5)):
+            phi = phases[:k]
+            mean = _fast_mean(rng, phi, los, levels, symbols, work)
+            assert mean == self._reference_mean(twin, phi, los, levels, symbols)
+
+    def test_hopping_grid_moments(self):
+        # the K-point average of a trigonometric polynomial of degree below
+        # K is its mean over the circle: every moment of a hopping phasor
+        # of degree below 256 is that of a uniform phase
+        theta = 2 * np.pi * np.arange(_HOPPING_LEVELS) / _HOPPING_LEVELS
+        m = np.arange(1, _HOPPING_LEVELS)[:, None]
+        assert _HOPPING_LEVELS == 256
+        assert np.max(np.abs(np.exp(1j * m * theta).mean(axis=1))) <= 1e-13
+        assert np.mean(np.cos(theta) ** 2) == pytest.approx(1 / 2, abs=1e-15)
+        assert np.mean(np.cos(theta) ** 4) == pytest.approx(3 / 8, abs=1e-15)
+
+
 class TestLevels:
     @pytest.mark.parametrize("levels", [2, 3, 5, 7, 256, 257, 1000])
     def test_uniform_on_the_grid(self, levels):
@@ -230,8 +283,10 @@ class TestLevels:
             assert x.shape == shape and x.dtype == np.float32
 
     def test_hopping_grid_is_numpy_float32_draw(self):
-        # at 2^24 levels each uint32 half of a word gives the float32 that
-        # Generator.random gives; even counts leave no half of a word over
+        # the reference for the uint32 path of _levels (more than 65536
+        # levels): at 2^24 levels each uint32 half of a word gives the
+        # float32 that Generator.random gives; even counts leave no half of a
+        # word over
         key = np.array([11, 3], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         twin = np.random.Generator(np.random.Philox(key=key))
@@ -252,9 +307,20 @@ class TestMcResult:
     def test_strict_ecdf(self):
         res = McResult(np.array([1.0, 1.0, 2.0, 3.0]), np.array([1, 1, 2, 2]),
                        McConfig(Scenario(2, 0.5), 4, 1))
-        assert res.outage_at(1.0)[0] == 0.0
-        assert res.outage_at(1.0 + 1e-12)[0] == 0.5
-        assert res.outage_at(10.0)[0] == 1.0
+        assert res.outage_at(1.0) == 0.0
+        assert res.outage_at(1.0 + 1e-12) == 0.5
+        assert res.outage_at(10.0) == 1.0
+
+    def test_scalar_rate_gives_a_float(self):
+        # a scalar rate read a 1-element array, where analytic.outage
+        # gives a float; an array of rates still gives an array
+        res = McResult(np.array([1.0, 2.0]), np.array([1, 2]),
+                       McConfig(Scenario(2, 0.5), 2, 1))
+        assert type(res.outage_at(1.5)) is float
+        assert type(res.outage_at(np.float64(1.5))) is float
+        np.testing.assert_array_equal(res.outage_at([1.5]), [0.5])
+        np.testing.assert_array_equal(res.outage_at(np.array([0.5, 1.5, 2.5])),
+                                      [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("rate", [np.nan, -1.0, [1.0, np.nan], [-1e-300]])
     def test_bad_rate_rejected(self, rate):
