@@ -25,8 +25,8 @@ from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
 from .model import Scenario, Scheme, _capacity
-from .specfun import (_like, _nonnegatives, cal_e, cal_e_inverse, is_real, marcum_q1,
-                      quantile, whole_number, whole_numbers)
+from .specfun import (_first_bad, _like, _nonnegatives, cal_e, cal_e_inverse, is_real,
+                      marcum_q1, quantile, whole_number, whole_numbers)
 
 __all__ = [
     "CapacityMethod",
@@ -322,7 +322,7 @@ class EmpiricalCdf:
         """F at each x, a float or an array like x; NaN raises ValueError."""
         v = np.atleast_1d(np.asarray(x, dtype=float))
         if np.isnan(v).any():
-            raise ValueError(f"x must be a number, got {x}")
+            raise ValueError(f"x must be a number, got {_first_bad(x, ~np.isnan(v))}")
         idx = np.searchsorted(self.x, v, side="right")
         return _like(np.where(idx == 0, 0.0, self.f[idx - 1]), x)
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .specfun import whole_number
+from .specfun import _first_bad, whole_number
 
 __all__ = ["AccuracyWarning", "hankel_transform", "PhasorSumDistribution"]
 
@@ -188,8 +188,9 @@ class PhasorSumDistribution:
         whole_number(self.n_links, 1, "n_links")
 
     def _check_domain(self, s):
-        if not np.all((0.0 <= s) & (s <= self.n_links)):
-            raise ValueError(f"s={s} outside support [0, {self.n_links}]")
+        ok = (0.0 <= s) & (s <= self.n_links)
+        if not np.all(ok):
+            raise ValueError(f"s={_first_bad(s, ok)} outside support [0, {self.n_links}]")
 
     def pdf(self, s):
         """Density at each s: a float for a float, else an array of the same

@@ -1,15 +1,23 @@
 """Deterministic two-timescale Monte-Carlo channel simulator.
 
-Slow samples (link availability, channel phases and the LOS phase) come in
-blocks of 256, and block b draws from the Philox stream keyed by (seed, b).
+Slow samples come in blocks of 256 rows, and block b draws from the Philox
+stream keyed by (seed, b), in this order: the link states avail (m x n
+uniforms compared with the link probabilities), then the channel phases
+phi (m x n, uniform on [0, 2*pi)), then the LOS phase u (m uniforms, drawn
+at a = 0 too). `_block` alone knows this layout. Perfect stops after the
+link states: its capacity reads only the link counts n_avail. The other
+schemes pass the drawn arrays to their evaluator, which returns one
+capacity per row: `_static_capacities(phi, avail, n_avail, los)` for
+static, with los = a*exp(2j*pi*u) the LOS phasors, and the fast loop
+`_fast_means(phi, avail, los, rng, quant_levels, symbols)` for hopping and
+quantized, which draws the surface phases of each row in turn from the
+block's generator rng, after the slow draws.
 Results are therefore bit-identical for any number of workers, which are
 threads over blocks; with one block or one worker the blocks run in the
-calling thread. Hopping and quantized average the capacity over
-per-symbol surface phases in a fast loop. Perfect reads only the link
-states, the first draw of each stream. Static is evaluated a whole block
-at a time: its rows are sorted by link count, cos and sin are taken once
-over all their active phases, and each link count's rows are summed as one
-contiguous slice, with the same bits as `symbol_capacity` row by row.
+calling thread. Static is evaluated a whole block at a time: its rows are
+sorted by link count, cos and sin are taken once over all their active
+phases, and each link count's rows are summed as one contiguous slice,
+with the same bits as `symbol_capacity` row by row.
 
 The fast loop draws its surface phases in float32 from the grid of K
 levels 2*pi*l/K: the quantized scheme's K, or K = 256 for continuous
@@ -50,11 +58,6 @@ float32 work arrays, held per block of the fast loop and per call of
 phases added in place, the cosines go into the second and the sines over
 the first. No chunk allocates an array of its phases' size, so the heap
 neither grows nor is trimmed once per chunk.
-
-Samples for a given seed differ from those of earlier layouts and draws;
-the 256-level hopping grid (from 2^24 levels, half a Philox word per
-phase) gave hopping `run` and `quantized_sum_samples` new samples for
-every seed, and left static, perfect and quantized `run` bit-identical.
 """
 from __future__ import annotations
 
@@ -216,7 +219,8 @@ def _static_capacities(phi: np.ndarray, avail: np.ndarray, n_avail: np.ndarray,
 
 
 def _block(config: McConfig, probs: np.ndarray, b: int):
-    """Capacities and link counts of the slow samples in block b."""
+    """Capacities and link counts of the slow samples in block b: the one
+    place that knows a block's stream layout (see the module docstring)."""
     sc = config.scenario
     m = min(_BLOCK, config.slow_samples - b * _BLOCK)
     rng = _stream(config.seed, b)
@@ -230,32 +234,33 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
            else np.zeros(m, complex))
     if sc.scheme is Scheme.STATIC:
         return _static_capacities(phi, avail, n_avail, los), n_avail
-    levels = sc.quant_levels or _HOPPING_LEVELS
-    work = [np.empty(max(_CHUNK, sc.n_elements), np.float32) for _ in range(2)]
-    caps = [_fast_mean(rng, phi[row, avail[row]], los[row], levels,
-                       config.fast_samples, work) for row in range(m)]
-    return np.array(caps), n_avail
+    return _fast_means(phi, avail, los, rng, sc.quant_levels, config.fast_samples), n_avail
 
 
-def _fast_mean(rng, phi, los, levels: int, symbols: int, work) -> float:
-    """Mean capacity of one slow sample over `symbols` symbols: its k link
-    phases phi and LOS phasor los stay fixed, and its surface phases are
-    drawn from rng on the grid of `levels` levels, a chunk at a time into
-    the two float32 work arrays `work` (max(_CHUNK, k) entries or more). A
+def _fast_means(phi: np.ndarray, avail: np.ndarray, los: np.ndarray, rng,
+                quant_levels: int | None, symbols: int) -> np.ndarray:
+    """Mean capacity of each row over `symbols` symbols: its active link
+    phases phi[i, avail[i]] and LOS phasor los[i] stay fixed, and its
+    surface phases are drawn from rng on the grid of quant_levels levels
+    (256 for continuous hopping, quant_levels None), row after row and a
+    chunk at a time, into two float32 work arrays held for the block. A
     chunk's angles are link-major, k x rows, and go to the channel formula
     transposed, so that its float64 sums over the links run along
     contiguous memory."""
-    k = phi.size
-    phi = phi.astype(np.float32)[:, None]
-    rows = _chunk_rows(k)
-    total = 0.0
-    for start in range(0, symbols, rows):
-        m = min(rows, symbols - start)
-        ang, cos = work[0][: k * m].reshape(k, m), work[1][: k * m].reshape(k, m)
-        _levels(rng, levels, (k, m), out=ang)
-        ang += phi
-        total += float(_angle_capacity(ang.T, los, cos.T).sum())
-    return total / symbols
+    levels = quant_levels or _HOPPING_LEVELS
+    work = [np.empty(max(_CHUNK, phi.shape[1]), np.float32) for _ in range(2)]
+    means = np.empty(los.size)
+    for i, (row, active) in enumerate(zip(phi, avail)):
+        link = row[active].astype(np.float32)[:, None]
+        k, rows, total = link.shape[0], _chunk_rows(link.shape[0]), 0.0
+        for start in range(0, symbols, rows):
+            m = min(rows, symbols - start)
+            ang, cos = (w[: k * m].reshape(k, m) for w in work)
+            _levels(rng, levels, (k, m), out=ang)
+            ang += link
+            total += float(_angle_capacity(ang.T, los[i], cos.T).sum())
+        means[i] = total / symbols
+    return means
 
 
 def run(config: McConfig, workers: int = 1) -> McResult:

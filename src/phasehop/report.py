@@ -166,6 +166,12 @@ def _build_out_hopping(p, a):
 
 
 def _build_eps_cap_nlos(p):
+    for key in ("eps_min", "eps_max"):
+        if not 0.0 < p[key] < 1.0:
+            raise ValueError(f"override {key!r} must lie in (0, 1), got {p[key]}")
+    if p["eps_min"] > p["eps_max"]:
+        raise ValueError(f"override 'eps_min' must not exceed eps_max, "
+                         f"got {p['eps_min']} > {p['eps_max']}")
     eps = np.logspace(np.log10(p["eps_min"]), np.log10(p["eps_max"]), p["points"])
     cols = {"eps": eps}
     for prob in p["p_values"]:

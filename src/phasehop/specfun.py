@@ -32,7 +32,7 @@ def cal_e(x):
     series (1/x) sum_k (-1)^k k! / x^k to 8 terms, within 8!/690^8 < 1e-18."""
     v = np.asarray(x, dtype=float)
     if not np.all(v > 0.0):
-        raise ValueError(f"x must be positive, got {x}")
+        raise ValueError(f"x must be positive, got {_first_bad(x, v > 0.0)}")
     near = np.minimum(v, 690.0)
     series = np.polynomial.polynomial.polyval(
         1.0 / np.maximum(v, 690.0), [0, 1, -1, 2, -6, 24, -120, 720, -5040])
@@ -49,7 +49,7 @@ def cal_e_inverse(y):
     past E(5e-324) ~ 744 (inf included) gives 5e-324."""
     t = np.asarray(y, dtype=float)
     if not np.all(t > 0.0):
-        raise ValueError(f"y must be positive, got {y}")
+        raise ValueError(f"y must be positive, got {_first_bad(y, t > 0.0)}")
     lo, hi = np.full(t.shape, -745.0), np.full(t.shape, 709.7)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
@@ -66,14 +66,33 @@ def is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
+def _is_whole(value, least: int) -> bool:
+    """Whether value is one whole number >= least, checked in Python
+    numbers; an int is whole at any size, past the float range too."""
+    return is_real(value) and value >= least and (
+        isinstance(value, (int, np.integer)) or float(value).is_integer())
+
+
+def _first_bad(values, ok, show=str) -> str:
+    """values as an error message names them: show(values) for a scalar,
+    else show() of the first entry where the mask ok is False, with its
+    index, so that a large array still gives a one-line message."""
+    if np.ndim(values) == 0:
+        return show(values)
+    bad = np.argwhere(~np.asarray(ok, dtype=bool))
+    if not bad.size:  # every entry passes: the array's dtype is at fault
+        return f"an array of dtype {np.asarray(values).dtype}"
+    index = tuple(int(i) for i in bad[0])
+    entry = np.asarray(values, dtype=object)[index]
+    return f"{show(entry)} at index {index[0] if len(index) == 1 else index}"
+
+
 def whole_number(value, least: int, name: str) -> int:
     """value as an int; ValueError unless it is one whole number >= least
     (not NaN, inf, 2.5, a bool, a string, None or an array). It is checked
     in Python numbers, many times faster than as an array: exact static
-    outage checks one per link count and call. An int is whole at any
-    size, past the float range too."""
-    if not (is_real(value) and value >= least and (
-            isinstance(value, (int, np.integer)) or float(value).is_integer())):
+    outage checks one per link count and call."""
+    if not _is_whole(value, least):
         raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
     return int(value)
 
@@ -89,7 +108,10 @@ def whole_numbers(values, least: int, name: str) -> np.ndarray:
             (x >= least) & (x < np.inf) & (x == np.floor(x))) and (
             isinstance(values, np.ndarray) or is_real(values)
             or all(map(is_real, np.asarray(values, dtype=object).flat)))):
-        raise ValueError(f"{name} must be a whole number >= {least}, got {values!r}")
+        ok = np.vectorize(lambda v: _is_whole(v, least), otypes=[bool])(
+            np.asarray(values, dtype=object))
+        raise ValueError(f"{name} must be a whole number >= {least}, "
+                         f"got {_first_bad(values, ok, repr)}")
     return x.astype(np.int64)
 
 
@@ -98,7 +120,8 @@ def _nonnegatives(values, name: str) -> np.ndarray:
     entries raise ValueError."""
     x = np.atleast_1d(np.asarray(values, dtype=float))
     if not np.all(x >= 0.0):
-        raise ValueError(f"{name} must be a number >= 0, got {values}")
+        raise ValueError(f"{name} must be a number >= 0, "
+                         f"got {_first_bad(values, x >= 0.0)}")
     return x
 
 
@@ -117,8 +140,10 @@ def marcum_q1(a, b):
     there, gets noncentrality 0. Within 1.2e-13 of 40-digit mpmath for
     Q1 >= 1e-20."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if not (np.all(a >= 0) and np.all(b >= 0)):
-        raise ValueError(f"arguments must be numbers >= 0, got a={a}, b={b}")
+    for name, v in (("a", a), ("b", b)):
+        if not np.all(v >= 0):
+            raise ValueError(
+                f"arguments must be numbers >= 0, got {name}={_first_bad(v, v >= 0)}")
     with np.errstate(over="ignore", invalid="ignore"):
         a2, b2, far = a * a, b * b, b - a > 38.7  # Q1 <= exp(-(b-a)^2/2) underflows
         q = (special.chndtr(a2, 2, np.where(far, 0.0, b2))
@@ -199,7 +224,8 @@ def quantile(dist: DiscreteDistribution, eps):
     """Smallest k with cdf[k] > eps (strict, matching the outage convention),
     for each eps: an int for a scalar eps, else an integer array."""
     e = np.asarray(eps, dtype=float)
-    if not np.all((e >= 0.0) & (e < 1.0)):
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
+    ok = (e >= 0.0) & (e < 1.0)
+    if not np.all(ok):
+        raise ValueError(f"eps must be in [0, 1), got {_first_bad(eps, ok)}")
     k = np.searchsorted(dist.cdf, e, side="right")
     return int(k) if e.ndim == 0 else k

@@ -204,6 +204,13 @@ class TestFigure:
         # printed "max() arg is an empty sequence"
         ("cosine-histogram", '{"n_values": []}',
          "override 'n_values' must be a non-empty list, got []"),
+        # three RuntimeWarnings and a 28-line error dumping a NaN eps grid
+        ("eps-cap-nlos", '{"eps_min": 0}', "override 'eps_min' must lie in (0, 1), got 0.0"),
+        # a 125-line error
+        ("eps-cap-nlos", '{"eps_max": 2}', "override 'eps_max' must lie in (0, 1), got 2.0"),
+        # exited 0 with the eps grid in reverse order
+        ("eps-cap-nlos", '{"eps_min": 0.5, "eps_max": 0.1}',
+         "override 'eps_min' must not exceed eps_max, got 0.5 > 0.1"),
     ])
     def test_override_of_wrong_type(self, capsys, tmp_path, fid, overrides, message):
         code, out, err = run_cli(capsys, "figure", "--id", fid, "--out-dir", str(tmp_path),

@@ -8,10 +8,9 @@ from scipy.stats import chi2
 from phasehop.analytic import outage_hopping, outage_static, CapacityMethod
 from phasehop.model import Scenario, Scheme, symbol_capacity
 from phasehop.montecarlo import (
-    _CHUNK,
     _HOPPING_LEVELS,
     _chunk_rows,
-    _fast_mean,
+    _fast_means,
     _levels,
     _static_capacities,
     McConfig,
@@ -100,10 +99,28 @@ class TestDeterminism:
         # every scheme draws the link states first from the same stream
         sc = dict(n_elements=10, link_probs=(0.2, 0.4, 0.5, 0.9) * 2 + (0.6, 0.7),
                   los_amplitude=0.5)
-        links = [run(McConfig(Scenario(**sc, scheme=scheme), 300, 21, seed=9)).n_avail
-                 for scheme in (Scheme.STATIC, Scheme.PERFECT, Scheme.HOPPING)]
-        np.testing.assert_array_equal(links[0], links[1])
-        np.testing.assert_array_equal(links[0], links[2])
+        links = [run(McConfig(Scenario(**sc, scheme=scheme, quant_levels=k), 300, 21,
+                              seed=9)).n_avail
+                 for scheme, k in ((Scheme.STATIC, None), (Scheme.PERFECT, None),
+                                   (Scheme.HOPPING, None), (Scheme.QUANTIZED, 3))]
+        for other in links[1:]:
+            np.testing.assert_array_equal(links[0], other)
+
+    @pytest.mark.parametrize("a", [0.5, 1.5])
+    def test_static_and_fast_loop_share_slow_phases(self, a):
+        # one link, always on: with K = 2 a symbol's capacity is the static
+        # capacity c_s (theta = 0) or its mirror c_m = log2(4 + 2a^2 - 2^c_s)
+        # (theta = pi), so L (q - c_m) / (c_s - c_m) counts the theta = 0
+        # symbols of a row, a whole number if both runs read the same phi and u
+        fast = 301
+        c_s, q = (run(McConfig(Scenario(1, 1.0, a, scheme, quant_levels=k), 600, fast, 9))
+                  .per_slow_capacity
+                  for scheme, k in ((Scheme.STATIC, None), (Scheme.QUANTIZED, 2)))
+        c_m = np.log2(4 + 2 * a * a - 2**c_s)
+        apart = np.abs(c_s - c_m) > 0.1
+        count = fast * (q - c_m)[apart] / (c_s - c_m)[apart]
+        assert apart.sum() > 500
+        assert np.max(np.abs(count - np.round(count))) <= 0.01
 
     @pytest.mark.parametrize("a", [0.0, 1.5])
     @pytest.mark.parametrize("n, p, fast", [
@@ -159,12 +176,12 @@ class TestSchemes:
         # same seed gives the same slow draws, so the comparison is per
         # realization and the aligned-phase channel is the maximum
         base = dict(slow_samples=100, fast_samples=500, seed=11)
-        hop = run(McConfig(Scenario(8, 0.6), **base)).per_slow_capacity
-        perf = run(
-            McConfig(Scenario(8, 0.6, scheme=Scheme.PERFECT), **base)
-        ).per_slow_capacity
-        assert np.all(perf >= hop - 1e-9)
-        assert np.all(hop >= 0)
+        hop, static, perf = (run(McConfig(Scenario(8, 0.6, scheme=scheme), **base))
+                             for scheme in (Scheme.HOPPING, Scheme.STATIC, Scheme.PERFECT))
+        for res in (hop, static):
+            np.testing.assert_array_equal(res.n_avail, perf.n_avail)
+            assert np.all(perf.per_slow_capacity >= res.per_slow_capacity - 1e-9)
+            assert np.all(res.per_slow_capacity >= 0)
 
     def test_hopping_matches_analytic(self):
         sc = Scenario(20, 0.5)
@@ -232,19 +249,19 @@ class TestFastLoop:
     @pytest.mark.parametrize("levels", [_HOPPING_LEVELS, 5])
     @pytest.mark.parametrize("a", [0.0, 1.5])
     def test_work_arrays_match_symbol_capacity(self, a, levels):
-        # every link first, so that the later rows find the work arrays
-        # dirty; then no link, one link, and a row of three chunks of three
-        # links, the last of odd length
-        n = 12
+        # one block: every link first, so that the later rows find the
+        # work arrays dirty; then no link, one link, and three links, whose
+        # row is three chunks, the last of odd length
+        n, symbols = 12, 2 * _chunk_rows(3) + 5
         key = np.array([levels, int(10 * a)], dtype=np.uint64)
         rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
-        phases = np.random.default_rng(5).random(n) * 2 * np.pi
-        los = complex(a * np.exp(0.7j))
-        work = [np.empty(max(_CHUNK, n), np.float32) for _ in range(2)]
-        for k, symbols in ((n, 5000), (0, 301), (1, 301), (3, 2 * _chunk_rows(3) + 5)):
-            phi = phases[:k]
-            mean = _fast_mean(rng, phi, los, levels, symbols, work)
-            assert mean == self._reference_mean(twin, phi, los, levels, symbols)
+        phi = np.random.default_rng(5).random((4, n)) * 2 * np.pi
+        avail = np.arange(n) < np.array([n, 0, 1, 3])[:, None]
+        los = a * np.exp(1j * (0.7 + np.arange(4)))
+        means = _fast_means(phi, avail, los, rng, levels, symbols)
+        ref = [self._reference_mean(twin, phi[i, avail[i]], los[i], levels, symbols)
+               for i in range(4)]
+        np.testing.assert_array_equal(means, ref)
 
     def test_hopping_grid_moments(self):
         # the K-point average of a trigonometric polynomial of degree below

@@ -6,6 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from phasehop.analytic import EmpiricalCdf, outage
+from phasehop.hankel import PhasorSumDistribution
+from phasehop.model import Scenario
 from phasehop.specfun import (
     DiscreteDistribution,
     binomial,
@@ -287,3 +290,29 @@ class TestWholeNumbers:
         out = whole_numbers([[0, 2.0], [np.uint8(3), 4]], 0, "k")
         assert out.dtype == np.int64 and out.tolist() == [[0, 2], [3, 4]]
         assert whole_numbers(3, 0, "k").shape == ()
+
+
+class TestBadArrayMessages:
+    @pytest.mark.parametrize("call, good, bad, message", [
+        (lambda x: outage(Scenario(20, 0.5), x), 1.0, np.nan,
+         "rate must be a number >= 0, got nan at index 317"),
+        (lambda x: quantile(binomial(4, 0.5), x), 0.5, 1.5,
+         r"eps must be in \[0, 1\), got 1.5 at index 317"),
+        (lambda x: whole_numbers(x, 0, "k"), 2.0, 2.5,
+         "k must be a whole number >= 0, got 2.5 at index 317"),
+        (cal_e, 1.0, 0.0, "x must be positive, got 0.0 at index 317"),
+        (cal_e_inverse, 1.0, -1.0, "y must be positive, got -1.0 at index 317"),
+        (lambda x: marcum_q1(1.0, x), 1.0, -1.0,
+         "arguments must be numbers >= 0, got b=-1.0 at index 317"),
+        (EmpiricalCdf.from_samples([0.0, 1.0, 2.0]), 1.0, np.nan,
+         "x must be a number, got nan at index 317"),
+        (PhasorSumDistribution(3).cdf, 1.0, 4.0,
+         r"s=4.0 at index 317 outside support \[0, 3\]"),
+    ], ids=["rate", "quantile", "whole_numbers", "cal_e", "cal_e_inverse", "marcum_q1",
+            "empirical_cdf", "phasor_sum_cdf"])
+    def test_names_the_first_bad_entry(self, call, good, bad, message):
+        # the message embedded the whole array: 28 lines for 500 NaN rates
+        x = np.full(500, good)
+        x[[317, 400]] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(x)
