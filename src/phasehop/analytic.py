@@ -5,7 +5,11 @@ law and approximate via its Gaussian counterpart, both one K1-weighted
 Gauss-Legendre sum), the outage mixtures over the random link count for
 all four schemes, eps-outage capacities, and the general-fading outage
 approximation. `outage` serves every scheme; each per-scheme outage
-function rejects a scenario of another scheme.
+function rejects a scenario of another scheme. A method is a
+CapacityMethod or its value, such as "exact"; any other is a ValueError.
+Each (scenario, method) has its tables built once, in bounded lru caches:
+the step plateaus with the link-count cdf, and the static mixture's
+evaluator, on which static eps-capacity runs one Brent search per eps.
 
 Capacities take a whole number or an array of link counts, outage and
 eps-capacity a float or an array of rates (or eps); each returns a float
@@ -44,6 +48,7 @@ __all__ = [
 ]
 
 _LN2 = np.log(2.0)
+_EPS_LO = 1e-12  # the lower end of the static eps-capacity bracket
 
 
 class CapacityMethod(enum.Enum):
@@ -68,6 +73,10 @@ class CapacityMethod(enum.Enum):
 # K1 has its 1/t and t log t terms.
 _K1_ORDER = 16
 _K1_GRADING = 8
+# The rule for amplitude a has _K1_ORDER * (_K1_GRADING + 29 ceil(a)) nodes,
+# a temporary row of them per link count; a budget of 100,000 nodes allows
+# a up to 215 (99,888 nodes).
+_K1_MAX_AMPLITUDE = (100_000 // _K1_ORDER - _K1_GRADING) // 29
 
 
 @functools.lru_cache(maxsize=16)
@@ -98,6 +107,9 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
     if method is CapacityMethod.APPROX_EI and a == 0.0:
         table = np.concatenate(([0.0], cal_e(1.0 / np.arange(1, n + 1)) / _LN2))
     else:
+        if a > _K1_MAX_AMPLITUDE:
+            raise ValueError(
+                f"a must be at most {_K1_MAX_AMPLITUDE} for the capacity rule, got {a!r}")
         t, w = _k1_rule(max(1, math.ceil(a)))
         k = np.arange(n + 1)[:, None]
         # phi_k unnamed, so numpy reuses its buffer for the product
@@ -118,7 +130,7 @@ def _capacities(n_avail, a: float, method: CapacityMethod):
     """C(k, a) for each whole link count k in n_avail, from the table up
     to the largest."""
     k = np.atleast_1d(whole_numbers(n_avail, 0, "n_avail"))
-    table = _capacity_table(int(k.max(initial=0)), float(a), method)
+    table = _capacity_table(int(k.max(initial=0)), float(a), CapacityMethod(method))
     return _like(table[k], n_avail)
 
 
@@ -158,25 +170,29 @@ def _require(scenario: Scenario, *schemes: Scheme) -> None:
         raise ValueError(f"scheme must be {names}, got {scenario.scheme.value}")
 
 
-def _step_capacities(scenario: Scenario,
-                     method: CapacityMethod = CapacityMethod.APPROX_EI) -> np.ndarray:
-    """Plateaus C(0), ..., C(N) of a step scheme, increasing in the link
-    count: the ergodic capacities under (quantized) hopping, or
+@functools.lru_cache(maxsize=64)
+def _step_table(scenario: Scenario,
+                method: CapacityMethod) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only plateaus C(0), ..., C(N) of a step scheme, increasing in
+    the link count, and the link-count cdf with a leading 0. The plateaus
+    are the ergodic capacities under (quantized) hopping, or
     log2(1 + (a + k)^2) under perfect adjustment, where the k links align
     with the LOS phasor (the channel montecarlo simulates)."""
     n, a = scenario.n_elements, scenario.los_amplitude
-    if scenario.scheme is Scheme.PERFECT:
-        return _capacity(a + np.arange(n + 1), 0.0)
-    return _capacity_table(n, a, method)
-
-
-def _step_outage(scenario: Scenario, rate, caps: np.ndarray):
-    """Pr(caps[K] < rate) over the link-count law K, for capacities caps
-    increasing in the link count: searchsorted counts the link numbers
-    whose capacity lies below each rate."""
-    r = _nonnegatives(rate, "rate")
+    caps = (_capacity(a + np.arange(n + 1), 0.0) if scenario.scheme is Scheme.PERFECT
+            else _capacity_table(n, a, method))
     cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
-    return _like(cdf0[np.searchsorted(caps, r, "left")], rate)
+    for table in (caps, cdf0):
+        table.setflags(write=False)
+    return caps, cdf0
+
+
+def _step_outage(scenario: Scenario, rate, method=CapacityMethod.APPROX_EI):
+    """Pr(caps[K] < rate) over the link-count law K, for the plateaus caps
+    of _step_table: searchsorted counts the link numbers whose capacity
+    lies below each rate."""
+    caps, cdf0 = _step_table(scenario, method)
+    return _like(cdf0[np.searchsorted(caps, _nonnegatives(rate, "rate"), "left")], rate)
 
 
 def outage(scenario: Scenario, rate,
@@ -184,6 +200,7 @@ def outage(scenario: Scenario, rate,
     """Outage probability Pr(C < R) at each rate under the scenario's
     scheme: outage_hopping for hopping and quantized, outage_static for
     static and outage_perfect for perfect, whose plateaus need no method."""
+    method = CapacityMethod(method)
     if scenario.scheme is Scheme.STATIC:
         return outage_static(scenario, rate, method)
     if scenario.scheme is Scheme.PERFECT:
@@ -202,7 +219,7 @@ def outage_hopping(
     continuous-phase value (large-N asymptotic).
     """
     _require(scenario, Scheme.HOPPING, Scheme.QUANTIZED)
-    return _step_outage(scenario, rate, _step_capacities(scenario, method))
+    return _step_outage(scenario, rate, CapacityMethod(method))
 
 
 def eps_capacity(
@@ -210,19 +227,27 @@ def eps_capacity(
 ):
     """eps-outage capacity at each eps: the largest rate whose outage does
     not exceed eps."""
+    method = CapacityMethod(method)
     e = np.atleast_1d(np.asarray(eps, dtype=float))
     k = quantile(scenario.link_count_distribution(), e)
     if scenario.scheme is not Scheme.STATIC:
-        return _like(_step_capacities(scenario, method)[k], eps)
+        return _like(_step_table(scenario, method)[0][k], eps)
     # static: invert the continuous outage curve, one root search per eps
-    r_max = float(_capacity(scenario.los_amplitude + scenario.n_elements, 0.0))
-    lo = 1e-12
-    top, bottom = outage_static(scenario, np.array([r_max, lo]), method)
+    evaluate = _static_mixture(scenario, method)
+    r_max, top, bottom = _static_bracket(scenario, method)
     out = np.where(top <= e, r_max, 0.0)
     inside = (top > e) & (bottom <= e)
-    out[inside] = [optimize.brentq(lambda r: outage_static(scenario, r, method) - t,
-                                   lo, r_max, xtol=1e-10) for t in e[inside]]
+    out[inside] = [optimize.brentq(lambda r: evaluate(np.array([r]))[0] - t,
+                                   _EPS_LO, r_max, xtol=1e-10) for t in e[inside]]
     return _like(out, eps)
+
+
+@functools.lru_cache(maxsize=64)
+def _static_bracket(scenario: Scenario, method: CapacityMethod) -> tuple[float, ...]:
+    """The top rate log2(1 + (a + N)^2) of the static eps bracket, and the
+    outage there and at _EPS_LO."""
+    r_max = float(_capacity(scenario.los_amplitude + scenario.n_elements, 0.0))
+    return r_max, *_static_mixture(scenario, method)(np.array([r_max, _EPS_LO]))
 
 
 def _static_fixed(links: np.ndarray, snr: np.ndarray, a: float,
@@ -253,7 +278,8 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
     snr = _snr(_nonnegatives(rate, "rate"))
-    return _like(_static_fixed(links, snr, _amplitude(a), mode)[..., 0], rate)
+    return _like(_static_fixed(links, snr, _amplitude(a), CapacityMethod(mode))[..., 0],
+                 rate)
 
 
 def outage_static(
@@ -272,17 +298,26 @@ def outage_static(
     in any array. A row whose every term is 1 is exactly 1.
     """
     _require(scenario, Scheme.STATIC)
-    r = _nonnegatives(rate, "rate")
-    pmf = scenario.link_count_distribution().pmf
-    a = scenario.los_amplitude
+    evaluate = _static_mixture(scenario, CapacityMethod(mode))
+    return _like(evaluate(_nonnegatives(rate, "rate")), rate)
+
+
+@functools.lru_cache(maxsize=64)
+def _static_mixture(scenario: Scenario, mode: CapacityMethod):
+    """outage_static as a function of a checked rate array, with the link
+    counts of positive weight, their weights and the LOS-only step
+    log2(1 + a^2) taken from the law once."""
+    pmf, a = scenario.link_count_distribution().pmf, scenario.los_amplitude
     weighted = np.flatnonzero(pmf)
-    links = weighted[weighted > 0]
-    fixed = _static_fixed(links, _snr(r), a, mode)
-    if pmf[0] > 0.0:
-        los_only = r > _capacity(a, 0.0)
-        fixed = np.concatenate((los_only[..., None], fixed), axis=-1)
-    total = (fixed * pmf[weighted]).sum(axis=-1)
-    return _like(np.where((fixed == 1.0).all(axis=-1), 1.0, np.minimum(1.0, total)), rate)
+    links, weights, los_cap = weighted[weighted > 0], pmf[weighted], _capacity(a, 0.0)
+
+    def evaluate(r: np.ndarray) -> np.ndarray:
+        fixed = _static_fixed(links, _snr(r), a, mode)
+        if pmf[0] > 0.0:
+            fixed = np.concatenate(((r > los_cap)[..., None], fixed), axis=-1)
+        total = (fixed * weights).sum(axis=-1)
+        return np.where((fixed == 1.0).all(axis=-1), 1.0, np.minimum(1.0, total))
+    return evaluate
 
 
 def outage_perfect(scenario: Scenario, rate):
@@ -290,7 +325,7 @@ def outage_perfect(scenario: Scenario, rate):
     the capacities log2(1 + (a + k)^2) of k links aligned with the LOS
     phasor, with the same strict convention as outage_hopping."""
     _require(scenario, Scheme.PERFECT)
-    return _step_outage(scenario, rate, _step_capacities(scenario))
+    return _step_outage(scenario, rate)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ capacities with 4 decimals.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -174,6 +175,7 @@ def _cmd_figure(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)  # built once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phasehop",
                      description="Outage and capacity of RIS phase hopping")

@@ -119,7 +119,7 @@ def _nonnegatives(values, name: str) -> np.ndarray:
     """values as a float array of at least one dimension; NaN or negative
     entries raise ValueError."""
     x = np.atleast_1d(np.asarray(values, dtype=float))
-    if not np.all(x >= 0.0):
+    if not (x >= 0.0).all():
         raise ValueError(f"{name} must be a number >= 0, "
                          f"got {_first_bad(values, x >= 0.0)}")
     return x
@@ -141,7 +141,7 @@ def marcum_q1(a, b):
     Q1 >= 1e-20."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
-        if not np.all(v >= 0):
+        if not (v >= 0).all():
             raise ValueError(
                 f"arguments must be numbers >= 0, got {name}={_first_bad(v, v >= 0)}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,8 +149,9 @@ def marcum_q1(a, b):
         q = (special.chndtr(a2, 2, np.where(far, 0.0, b2))
              + np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b))
     q = np.where(b == 0, 1.0, np.where(far, 0.0, np.minimum(q, 1.0)))
-    redo = ~(q >= 1e-20) & (a > 0) & ~far  # NaN too: chndtr fails past b^2 ~ 1e11
-    if redo.any():  # the only use of scipy.stats, whose import costs 0.7 s
+    ok = q >= 1e-20  # False at NaN too: chndtr fails past b^2 ~ 1e11
+    if not ok.all() and (redo := ~ok & (a > 0) & ~far).any():
+        # the only use of scipy.stats, whose import costs 0.7 s
         from scipy import stats
         q[redo] = stats.ncx2.sf(*(np.broadcast_to(v, q.shape)[redo] for v in (b2, 2, a2)))
     return float(q) if q.ndim == 0 else q
@@ -225,7 +226,7 @@ def quantile(dist: DiscreteDistribution, eps):
     for each eps: an int for a scalar eps, else an integer array."""
     e = np.asarray(eps, dtype=float)
     ok = (e >= 0.0) & (e < 1.0)
-    if not np.all(ok):
+    if not ok.all():
         raise ValueError(f"eps must be in [0, 1), got {_first_bad(eps, ok)}")
     k = np.searchsorted(dist.cdf, e, side="right")
     return int(k) if e.ndim == 0 else k

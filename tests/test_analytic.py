@@ -3,7 +3,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from phasehop import analytic
 from phasehop.analytic import (
     CapacityMethod,
     EmpiricalCdf,
@@ -119,6 +121,17 @@ class TestErgCapacityLos:
                 erg_capacity_los(3, a, method)
 
     @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_amplitude_past_rule_budget(self, monkeypatch, method):
+        # 1e308 raised an OverflowError; the rule for a = 1e6 would hold
+        # about 4.6e8 nodes, so past a = 215 it is never built
+        assert erg_capacity_los(2, 215.0, method) > erg_capacity_los(2, 214.0, method)
+        monkeypatch.setattr(analytic, "_k1_rule", None)
+        for a in (1e308, 215.5):
+            with pytest.raises(ValueError) as info:
+                erg_capacity_los(2, a, method)
+            assert str(info.value) == f"a must be at most 215 for the capacity rule, got {a!r}"
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
     def test_fractional_rejected(self, method):
         for a in (0.0, 2.0):
             with pytest.raises(ValueError, match="whole number"):
@@ -219,7 +232,42 @@ class TestOutageHopping:
             assert outage_hopping(q, r) == outage_hopping(HOP20, r)
 
 
+def _static_eps_reference(sc, eps, method):
+    """Static eps-capacity as one brentq per eps on the public outage_static,
+    with 0 below the bracket [1e-12, log2(1 + (a + N)^2)] and its top above."""
+    x = sc.los_amplitude + sc.n_elements
+    r_max = float(np.log2(1.0 + x * x))
+    e = np.atleast_1d(np.asarray(eps, dtype=float))
+    top, bottom = outage_static(sc, np.array([r_max, 1e-12]), method)
+    out = np.where(top <= e, r_max, 0.0)
+    inside = (top > e) & (bottom <= e)
+    out[inside] = [optimize.brentq(lambda r: outage_static(sc, r, method) - t,
+                                   1e-12, r_max, xtol=1e-10) for t in e[inside]]
+    return out
+
+
 class TestEpsCapacity:
+    @pytest.mark.parametrize("sc, method", [
+        (Scenario(20, 0.5, scheme=Scheme.STATIC), APPROX),
+        (Scenario(10, tuple(np.random.default_rng(11).uniform(0.1, 0.9, 10)), 3.0,
+                  Scheme.STATIC), APPROX),
+        (Scenario(6, 0.5, scheme=Scheme.STATIC), EXACT),
+    ])
+    def test_static_is_brent_on_outage_static(self, sc, method):
+        eps = np.logspace(-9, np.log10(0.5), 20)
+        ref = _static_eps_reference(sc, eps, method)
+        assert np.count_nonzero(ref) >= 4  # eps above Pr(no link) (1/64 at n = 6)
+        np.testing.assert_array_equal(eps_capacity(sc, eps, method), ref)
+        assert [eps_capacity(sc, float(e), method) for e in eps] == ref.tolist()
+
+    @pytest.mark.parametrize("scheme, table", [
+        (Scheme.STATIC, analytic._static_mixture), (Scheme.HOPPING, analytic._step_table)])
+    def test_tables_cached_per_scenario_and_method(self, scheme, table):
+        one, other = Scenario(12, 0.4, scheme=scheme), Scenario(12, 0.4, scheme=scheme)
+        assert one is not other
+        assert table(one, APPROX) is table(other, APPROX)
+        assert table(one, APPROX) is not table(one, EXACT)
+
     def test_hopping_value(self):
         assert eps_capacity(HOP20, 1e-5) == pytest.approx(0.8603, abs=1e-3)
 
@@ -262,6 +310,26 @@ class TestEpsCapacity:
             r = eps_capacity(sc, eps)
             assert outage_hopping(sc, r) <= eps
             assert outage_hopping(sc, r + 1e-6) > eps
+
+
+class TestMethodArgument:
+    # a method given as a string ran the approximate path whatever it said
+    @pytest.mark.parametrize("call, distinct", [
+        (lambda m: erg_capacity_nlos(3, m), True),
+        (lambda m: erg_capacity_los(3, 1.5, m), True),
+        (lambda m: outage(STATIC20, 1.0, m), True),
+        (lambda m: outage_hopping(HOP20, 1.0, m), True),
+        (lambda m: outage_static(STATIC20, 1.0, m), True),
+        (lambda m: outage_static_fixed(3, 1.0, 0.0, m), True),
+        (lambda m: eps_capacity(STATIC20, 1e-3, m), True),
+        (lambda m: outage(PERFECT20, 1.0, m), False),  # plateaus without a method
+    ])
+    def test_value_or_member(self, call, distinct):
+        values = {m: call(m.value) for m in CapacityMethod}
+        assert values == {m: call(m) for m in CapacityMethod}
+        assert (values[EXACT] != values[APPROX]) == distinct
+        with pytest.raises(ValueError, match="'bogus' is not a valid CapacityMethod"):
+            call("bogus")
 
 
 class TestOutageStaticFixed:

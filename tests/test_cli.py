@@ -211,6 +211,9 @@ class TestFigure:
         # exited 0 with the eps grid in reverse order
         ("eps-cap-nlos", '{"eps_min": 0.5, "eps_max": 0.1}',
          "override 'eps_min' must not exceed eps_max, got 0.5 > 0.1"),
+        # an OverflowError traceback from the capacity rule
+        ("erg-cap-los", '{"a": 1e308, "n": 2, "slow": 10, "fast": 10}',
+         "a must be at most 215 for the capacity rule, got 1e+308"),
     ])
     def test_override_of_wrong_type(self, capsys, tmp_path, fid, overrides, message):
         code, out, err = run_cli(capsys, "figure", "--id", fid, "--out-dir", str(tmp_path),
@@ -334,6 +337,8 @@ class TestErrors:
         ("capacity", "--links", "3", "--a", "nan"),
         ("outage", "--n", "20", "--p", "0.5", "--a", "nan", "--rate", "1"),
         ("eps-capacity", "--n", "20", "--p", "0.5", "--a", "inf", "--eps", "0.1"),
+        # finite, but past the capacity rule's budget: an OverflowError traceback
+        ("capacity", "--links", "2", "--a", "1e308"),
     ])
     def test_non_finite_amplitude(self, capsys, args):
         # these printed 0.0000, nan or 0.00000e+00 with exit 0
@@ -397,6 +402,16 @@ class TestErrors:
         assert run_cli(capsys, args[0], "--config", str(path), *args[1:]) == (
             2, "", rejected)
         assert run_cli(capsys, args[0], *scenario, *args[1:]) == (0, value + "\n", "")
+
+    def test_parser_reused_in_one_process(self, capsys):
+        # the parser is built once per process: a rejected argv between two
+        # calls leaves what each call prints unchanged
+        assert run_cli(capsys, "outage", "--n", "20", "--p", "0.5", "--rate", "1.5") == (
+            0, "2.01225e-04\n", "")
+        assert run_cli(capsys, "capacity", "--links", "x") == (
+            2, "", "error: argument --links: invalid int value: 'x'\n")
+        assert run_cli(capsys, "capacity", "--links", "6", "--a", "2",
+                       "--method", "exact") == (0, "2.9712\n", "")
 
     def test_missing_scenario(self, capsys):
         code, _, err = run_cli(capsys, "eps-capacity", "--eps", "0.1")
