@@ -28,8 +28,8 @@ import numpy as np
 from scipy import optimize, special
 
 from .hankel import PhasorSumDistribution
-from .model import Scenario, Scheme, _capacity
-from .specfun import (_first_bad, _like, _nonnegatives, cal_e, cal_e_inverse, is_real,
+from .model import Scenario, Scheme, _capacity, _characteristic
+from .specfun import (_amplitude, _first_bad, _like, _nonnegatives, cal_e, cal_e_inverse,
                       marcum_q1, quantile, whole_number, whole_numbers)
 
 __all__ = [
@@ -99,11 +99,10 @@ def _k1_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
     """Read-only ergodic capacities C(0), ..., C(n) in bits with LOS
     amplitude a, strictly increasing:
-    C(k, a) = (2/ln 2) * integral_0^inf (1 - J0(a t) phi_k(t)) K1(t) dt,
-    from ln(1 + r^2) = 2 * integral_0^inf (1 - J0(r t)) K1(t) dt and the
-    characteristic function J0(a t) phi_k(t) of the LOS phasor plus k
-    links: phi_k = J0(t)^k for k unit phasors (exact) or e^{-k t^2/4} for
-    CN(0, k) (approximate, E(1/k)/ln 2 in closed form at a = 0)."""
+    C(k, a) = (2/ln 2) * integral_0^inf (1 - phi(t)) K1(t) dt, from
+    ln(1 + r^2) = 2 * integral_0^inf (1 - J0(r t)) K1(t) dt, where phi is
+    _characteristic of the LOS phasor and k links (their Gaussian law for
+    the approximate method, E(1/k)/ln 2 in closed form at a = 0)."""
     if method is CapacityMethod.APPROX_EI and a == 0.0:
         table = np.concatenate(([0.0], cal_e(1.0 / np.arange(1, n + 1)) / _LN2))
     else:
@@ -112,10 +111,7 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
                 f"a must be at most {_K1_MAX_AMPLITUDE} for the capacity rule, got {a!r}")
         t, w = _k1_rule(max(1, math.ceil(a)))
         k = np.arange(n + 1)[:, None]
-        # phi_k unnamed, so numpy reuses its buffer for the product
-        rows = 1.0 - special.j0(a * t) * (
-            special.j0(t) ** k if method is CapacityMethod.EXACT_HANKEL
-            else np.exp(-0.25 * k * (t * t)))
+        rows = 1.0 - _characteristic(t, k, a, method is CapacityMethod.APPROX_EI)
         # each row summed on its own (pairwise), so C(k) is the same number
         # in every table that holds it. A one-row power would take numpy's
         # x*x fast path at k = 2, 1 ulp off the general one, so single
@@ -147,14 +143,7 @@ def erg_capacity_los(
     a LOS component of finite amplitude a: exact by the phasor-sum
     characteristic function, or approximate by the Gaussian one. A float
     for a whole number, an array for an array of them."""
-    return _capacities(n_avail, _amplitude(a), method)
-
-
-def _amplitude(a) -> float:
-    """a as a float; ValueError unless it is one finite number >= 0."""
-    if not (is_real(a) and 0.0 <= a < np.inf):
-        raise ValueError(f"a must be a finite number >= 0, got {a!r}")
-    return float(a)
+    return _capacities(n_avail, _amplitude(a, "a"), method)
 
 
 def _snr(rates: np.ndarray) -> np.ndarray:
@@ -278,7 +267,7 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
     snr = _snr(_nonnegatives(rate, "rate"))
-    return _like(_static_fixed(links, snr, _amplitude(a), CapacityMethod(mode))[..., 0],
+    return _like(_static_fixed(links, snr, _amplitude(a, "a"), CapacityMethod(mode))[..., 0],
                  rate)
 
 

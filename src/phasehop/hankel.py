@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
+from .model import _characteristic
 from .specfun import _first_bad, whole_number
 
 __all__ = ["AccuracyWarning", "hankel_transform", "PhasorSumDistribution"]
@@ -163,10 +164,11 @@ def _j1_zeros() -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _cdf_series(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies gamma_m / n and coefficients
-    J0(gamma_m / n)^n / (gamma_m J0(gamma_m)^2) of the cdf series of n
-    phasors, up to the last coefficient above _NEGLIGIBLE."""
+    phi(gamma_m / n) / (gamma_m J0(gamma_m)^2) of the cdf series of n
+    phasors, phi their characteristic function, up to the last
+    coefficient above _NEGLIGIBLE."""
     gamma = _j1_zeros()
-    coef = special.j0(gamma / n) ** n / (gamma * special.j0(gamma) ** 2)
+    coef = _characteristic(gamma / n, n) / (gamma * special.j0(gamma) ** 2)
     terms = np.flatnonzero(np.abs(coef) > _NEGLIGIBLE)[-1] + 1
     freq, coef = gamma[:terms] / n, coef[:terms]
     for table in (freq, coef):

@@ -12,9 +12,10 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .specfun import (DiscreteDistribution, binomial, is_real, poisson_binomial,
-                      whole_number)
+from .specfun import (DiscreteDistribution, _amplitude, binomial, is_real,
+                      poisson_binomial, whole_number)
 
 __all__ = ["Scheme", "Scenario", "symbol_capacity"]
 
@@ -67,10 +68,8 @@ class Scenario:
         if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
             raise ValueError(f"connection probabilities must lie in [0, 1], got {p}")
         object.__setattr__(self, "link_probs", p)
-        a = self.los_amplitude
-        if not (is_real(a) and 0.0 <= a < np.inf):
-            raise ValueError(f"los_amplitude must be a finite number >= 0, got {a!r}")
-        object.__setattr__(self, "los_amplitude", float(a))
+        object.__setattr__(self, "los_amplitude",
+                           _amplitude(self.los_amplitude, "los_amplitude"))
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.scheme is Scheme.QUANTIZED:
             if self.quant_levels is None:
@@ -165,6 +164,18 @@ def _angle_capacity(ang, los, cos=None):
     re = np.cos(ang, out=cos).sum(axis=1, dtype=float)
     im = np.sin(ang, out=ang).sum(axis=1, dtype=float)
     return _capacity(los.real + re, los.imag + im)
+
+
+def _characteristic(t, links, a=0.0, gaussian=False):
+    """Characteristic function E[J0(t|h|)] of the channel h: the LOS phasor
+    of amplitude a plus `links` unit phasors of uniform phase, J0(a t)
+    J0(t)^links, or with the links' sum taken as CN(0, links),
+    J0(a t) e^{-links t^2/4}. t broadcasts against links; links keeps the
+    caller's type, since numpy takes a Python int 2 as x*x, 1 ulp off the
+    general power of an int64 array."""
+    # the power unnamed, so numpy reuses its buffer for the product
+    return special.j0(a * t) * (np.exp(-0.25 * links * (t * t)) if gaussian
+                                else special.j0(t) ** links)
 
 
 def _capacity(re, im):

@@ -101,7 +101,8 @@ def build_figure(figure_id: FigureId, overrides: dict | None = None) -> FigureDa
         params[key] = _like_default(key, params[key], value)
     builder = _BUILDERS[figure_id]
     columns = builder(params)
-    meta = {"figure_id": figure_id.value, "params": _jsonable(params)}
+    meta = {"figure_id": figure_id.value,
+            "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}}
     return FigureDataset(figure_id, columns, meta)
 
 
@@ -119,18 +120,6 @@ def _like_default(key: str, default, value):
     if isinstance(default, int):
         return whole_number(value, 0 if key == "seed" else 1, key)
     return float(value)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
 
 
 def _build_erg_cap_compare(p):

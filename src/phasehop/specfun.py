@@ -108,8 +108,8 @@ def whole_numbers(values, least: int, name: str) -> np.ndarray:
             (x >= least) & (x < np.inf) & (x == np.floor(x))) and (
             isinstance(values, np.ndarray) or is_real(values)
             or all(map(is_real, np.asarray(values, dtype=object).flat)))):
-        ok = np.vectorize(lambda v: _is_whole(v, least), otypes=[bool])(
-            np.asarray(values, dtype=object))
+        objects = np.asarray(values, dtype=object)
+        ok = np.reshape([_is_whole(v, least) for v in objects.flat], objects.shape)
         raise ValueError(f"{name} must be a whole number >= {least}, "
                          f"got {_first_bad(values, ok, repr)}")
     return x.astype(np.int64)
@@ -123,6 +123,13 @@ def _nonnegatives(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be a number >= 0, "
                          f"got {_first_bad(values, x >= 0.0)}")
     return x
+
+
+def _amplitude(a, name: str) -> float:
+    """a as a float; ValueError unless it is one finite number >= 0."""
+    if not (is_real(a) and 0.0 <= a < np.inf):
+        raise ValueError(f"{name} must be a finite number >= 0, got {a!r}")
+    return float(a)
 
 
 def _like(result: np.ndarray, values):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,15 @@ class TestErgCapacityNlos:
             with pytest.raises(ValueError, match="whole number"):
                 erg_capacity_nlos(n, method)
         assert erg_capacity_nlos(np.int64(2), method) == erg_capacity_nlos(2, method)
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_nan_raises_without_warning(self, method):
+        # a RuntimeWarning from the entry-by-entry check used to come first
+        for n in (np.nan, [2, np.nan], np.array([1.0, np.nan])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="whole number"):
+                    erg_capacity_nlos(n, method)
 
 
 class TestErgCapacityLos:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import special
 
-from phasehop.model import Scenario, Scheme, symbol_capacity
+from phasehop.model import Scenario, Scheme, _characteristic, symbol_capacity
 
 
 class TestScenario:
@@ -153,6 +154,28 @@ class TestEffectiveChannel:
             symbol_capacity(np.zeros(2), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             symbol_capacity(np.zeros(2), np.zeros(2))
+
+
+class TestCharacteristic:
+    @pytest.mark.parametrize("links, a", [(3, 1.5), (8, 0.0)])
+    def test_is_mean_of_simulated_channel(self, links, a):
+        # h = a e^{j phi_0} + sum of `links` unit phasors, all phases uniform
+        rng = np.random.default_rng(2024)
+        phases = rng.uniform(0.0, 2 * np.pi, size=(100_000, links + 1))
+        h = np.abs(a * np.exp(1j * phases[:, 0]) + np.exp(1j * phases[:, 1:]).sum(axis=1))
+        for t in (0.3, 1.0, 2.5):
+            samples = special.j0(t * h)
+            err = samples.std() / np.sqrt(samples.size)
+            assert abs(samples.mean() - _characteristic(t, links, a)) < 4 * err
+
+    def test_exact_identities(self):
+        t = np.linspace(0.0, 20.0, 201)
+        for a in (0.0, 1.5):
+            np.testing.assert_array_equal(_characteristic(t, 0, a), special.j0(a * t))
+        np.testing.assert_array_equal(_characteristic(t, 1), special.j0(t))
+        for k in (1, 4, 30):
+            np.testing.assert_allclose(_characteristic(t, k, gaussian=True),
+                                       np.exp(-k * t ** 2 / 4), rtol=1e-15, atol=0)
 
 
 class TestInstantaneousCapacity:
