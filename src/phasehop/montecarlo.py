@@ -14,10 +14,12 @@ quantized, which draws the surface phases of each row in turn from the
 block's generator rng, after the slow draws.
 Results are therefore bit-identical for any number of workers, which are
 threads over blocks; with one block or one worker the blocks run in the
-calling thread. Static is evaluated a whole block at a time: its rows are
-sorted by link count, cos and sin are taken once over all their active
-phases, and each link count's rows are summed as one contiguous slice,
-with the same bits as `symbol_capacity` row by row.
+calling thread. Static is evaluated a whole block at a time: cos and sin
+are taken once over the block's active phases, row-major, and each row's
+phasors are summed as one segment of a single reduceat. That order of
+summation is not `symbol_capacity`'s, so a row of k >= 3 links is
+within a rounding bound of it (k^2 * eps on each part of h) rather than
+bit for bit.
 
 The fast loop draws its surface phases in float32 from the grid of K
 levels 2*pi*l/K: the quantized scheme's K, or K = 256 for continuous
@@ -131,7 +133,7 @@ class McResult:
 
     def __post_init__(self):
         cap = np.asarray(self.per_slow_capacity, dtype=float)
-        if np.any(cap < -1e-12):
+        if not np.all(cap >= -1e-12):  # NaN fails it too
             raise ValueError("capacities must be nonnegative")
         links = np.asarray(self.n_avail)
         n = self.config.scenario.n_elements
@@ -193,29 +195,24 @@ def _levels(rng, levels: int, shape, out=None) -> np.ndarray:
 def _static_capacities(phi: np.ndarray, avail: np.ndarray, n_avail: np.ndarray,
                        los: np.ndarray) -> np.ndarray:
     """Capacity of each row's channel los + sum of exp(j*phi) over its
-    available links: symbol_capacity(zeros(k), phi[i, avail[i]][None], los[i])
-    for each row i with k links, bit for bit, a whole block at a time.
+    available links, the value of symbol_capacity(zeros(k),
+    phi[i, avail[i]][None], los[i]) for each row i with k links, a whole
+    block at a time.
 
-    The rows are sorted by link count (stably) and their active phases
-    gathered once in that order, so cos and sin run once over the block and
-    each link count's rows are one contiguous k-wide slice, summed row by
-    row (pairwise) as symbol_capacity sums them."""
-    order = np.argsort(n_avail, kind="stable")
-    active = phi[order][avail[order]]
-    cos, sin = np.cos(active), np.sin(active)
-    re, im = np.empty(n_avail.size), np.empty(n_avail.size)
-    counts = np.bincount(n_avail)
-    row = start = 0
-    for k in np.flatnonzero(counts):
-        rows = counts[k]
-        stop = start + rows * k
-        re[row : row + rows] = cos[start:stop].reshape(rows, k).sum(axis=1)
-        im[row : row + rows] = sin[start:stop].reshape(rows, k).sum(axis=1)
-        row, start = row + rows, stop
-    los = los[order]
-    caps = np.empty(n_avail.size)
-    caps[order] = _capacity(los.real + re, los.imag + im)
-    return caps
+    phi[avail] is row-major, so each row's active phases are one segment,
+    and cos and sin over them are summed per segment by one reduceat. That
+    sums in another order than symbol_capacity's row sum, so a row of k >= 3
+    links may differ from it by rounding: each part of h by at most
+    k^2 * eps, twice the error bound of any order (Higham, Accuracy and
+    Stability of Numerical Algorithms, 4.2). Rows of at most 2 links keep
+    its bits."""
+    active = phi[avail]
+    linked = n_avail > 0  # reduceat would give an empty segment one term
+    starts = (np.cumsum(n_avail) - n_avail)[linked]
+    re, im = np.zeros(n_avail.size), np.zeros(n_avail.size)
+    re[linked] = np.add.reduceat(np.cos(active), starts)
+    im[linked] = np.add.reduceat(np.sin(active), starts)
+    return _capacity(los.real + re, los.imag + im)
 
 
 def _block(config: McConfig, probs: np.ndarray, b: int):

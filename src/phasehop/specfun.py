@@ -177,7 +177,7 @@ class DiscreteDistribution:
         pmf = np.array(self.pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise ValueError("pmf must be a nonempty 1-d vector")
-        if np.any(pmf < -1e-15) or np.any(pmf > 1 + 1e-12):
+        if not np.all((pmf >= -1e-15) & (pmf <= 1 + 1e-12)):  # NaN fails it
             raise ValueError("pmf entries must lie in [0, 1]")
         if abs(pmf.sum() - 1.0) > 1e-12:
             raise ValueError(f"pmf must sum to 1, got {pmf.sum()!r}")
@@ -200,10 +200,9 @@ def binomial(n: int, p: float) -> DiscreteDistribution:
     as (1-p)^n bit-exact); large n switches to the log-gamma pmf, which is
     underflow-safe up to n = 1e4.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    n = whole_number(n, 0, "n")
+    if not (is_real(p) and 0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
     if n <= 1024:
         return poisson_binomial(np.full(n, p))
     from scipy import stats
@@ -217,7 +216,9 @@ def poisson_binomial(p_vec) -> DiscreteDistribution:
     when all probabilities are equal.
     """
     p = np.asarray(p_vec, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if p.ndim != 1:
+        raise ValueError(f"p_vec must be a 1-d vector, got shape {p.shape}")
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails it
         raise ValueError("all probabilities must lie in [0, 1]")
     pmf = np.array([1.0])
     for pi in p:

@@ -220,20 +220,34 @@ def _static_block(rows, n, a, seed):
 class TestStaticCapacities:
     @pytest.mark.parametrize("a", [0.0, 1.3])
     @pytest.mark.parametrize("rows, n, links", [
-        (300, 30, None), (40, 12, None), (1, 30, None), (1, 30, 0), (1, 30, 30)])
+        (300, 30, None), (40, 12, None), (256, 300, None), (40, 12, "empty tail"),
+        (1, 30, None), (1, 30, 0), (5, 30, 0), (1, 30, 30)])
     def test_matches_symbol_capacity_per_row(self, rows, n, links, a):
         phi, avail, los = _static_block(rows, n, a, seed=[rows, n])
-        if links is not None:
+        if links in (0, n):  # no link or every link in each row
             avail[:] = links > 0
-        if rows > 1:  # no link and every link, next to the rest
+        elif rows > 1:  # no link and every link, next to the rest
             avail[0], avail[-1] = False, True
+            if links == "empty tail":  # the last rows add nothing to phi[avail]
+                avail[1], avail[-3:] = True, False
         n_avail = avail.sum(axis=1)
-        assert rows == 1 or (n_avail.min() == 0 and n_avail.max() == n
-                             and np.sum(n_avail >= 9) > 1)
+        # long rows too: at n = 300, past numpy's 128-term pairwise block
+        assert links in (0, n) or rows == 1 or (
+            n_avail.min() == 0 and n_avail.max() == n
+            and np.sum(n_avail > min(n // 2, 128)) > 1)
         caps = _static_capacities(phi, avail, n_avail, los)
         ref = np.concatenate([symbol_capacity(np.zeros(k), phi[i, avail[i]][None], los[i])
                               for i, k in enumerate(n_avail)])
-        np.testing.assert_array_equal(caps, ref)
+        few = n_avail <= 2  # one addition at most: every order has the same bits
+        np.testing.assert_array_equal(caps[few], ref[few])
+        # two orders of summing k terms of size <= 1 differ by at most
+        # k^2 * eps; allow twice that, delta, on each part of h, and carry
+        # it through log2(1 + |h|^2) to first order
+        ref, k = ref[~few], n_avail[~few]
+        h, delta = np.sqrt(np.exp2(ref) - 1.0), 2.0 * k**2 * np.finfo(float).eps
+        bound = ((2.0 * np.sqrt(2.0) * h * delta + 2.0 * delta**2)
+                 / ((1.0 + h * h) * np.log(2.0)) + 4.0 * np.spacing(ref))
+        assert np.all(np.abs(caps[~few] - ref) <= bound)
 
 
 class TestFastLoop:
@@ -357,6 +371,12 @@ class TestMcResult:
         emp = np.array([np.mean(res.n_avail <= k) for k in range(7)])
         sigma = np.sqrt(ana * (1 - ana) / slow)
         assert np.all(np.abs(emp - ana) <= 3 * sigma)
+
+    def test_nan_capacity_rejected(self):
+        # NaN passed the old `any(cap < -1e-12)` check and read as a high capacity
+        with pytest.raises(ValueError, match="capacities must be nonnegative"):
+            McResult(np.array([1.0, np.nan, 2.0]), np.array([1, 1, 2]),
+                     McConfig(Scenario(2, 0.5), 3, 1))
 
     @pytest.mark.parametrize("n_avail", [
         [1, 1, 2], [1, 1, 2, 3], [1, -1, 2, 2], [1.0, 1.0, 2.0, 2.0]])

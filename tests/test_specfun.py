@@ -165,6 +165,11 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("pmf", [[np.nan, 1.0], [0.0, np.nan, 1.0]])
+    def test_nan_entry(self, pmf):
+        with pytest.raises(ValueError, match="entries must lie in"):
+            DiscreteDistribution(pmf)
+
     def test_cdf_nondecreasing(self):
         d = binomial(30, 0.3)
         assert np.all(np.diff(d.cdf) >= 0)
@@ -211,8 +216,17 @@ class TestBinomial:
         assert d.pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_p(self):
-        with pytest.raises(ValueError):
-            binomial(5, 1.5)
+        for p in (1.5, np.nan, "0.5", None):
+            with pytest.raises(ValueError, match="p must be a number in"):
+                binomial(5, p)
+
+    @pytest.mark.parametrize("n", [3.5, True, -1, np.nan, "3"])
+    def test_bad_n(self, n):
+        with pytest.raises(ValueError, match="n must be a whole number >= 0"):
+            binomial(n, 0.5)
+
+    def test_whole_float_n(self):
+        assert binomial(3.0, 0.5).pmf.tolist() == binomial(3, 0.5).pmf.tolist()
 
 
 class TestPoissonBinomial:
@@ -236,6 +250,16 @@ class TestPoissonBinomial:
     def test_bad_entry(self):
         with pytest.raises(ValueError):
             poisson_binomial([0.5, -0.1])
+
+    def test_nan_entry(self):
+        # gave an all-NaN pmf
+        with pytest.raises(ValueError, match="must lie in"):
+            poisson_binomial([0.5, np.nan])
+
+    @pytest.mark.parametrize("p_vec", [[[0.5, 0.5]], 0.5])
+    def test_not_a_vector(self, p_vec):
+        with pytest.raises(ValueError, match="1-d vector"):
+            poisson_binomial(p_vec)
 
 
 class TestQuantile:
