@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize, special
 
-from .hankel import PhasorSumDistribution
+from .hankel import _cdf_grid
 from .model import Scenario, Scheme, _capacity, _characteristic
 from .specfun import (_amplitude, _first_bad, _like, _nonnegatives, cal_e, cal_e_inverse,
                       marcum_q1, quantile, whole_number, whole_numbers)
@@ -246,11 +246,7 @@ def _static_fixed(links: np.ndarray, snr: np.ndarray, a: float,
     if mode is CapacityMethod.EXACT_HANKEL:
         if a != 0.0:
             raise ValueError("exact static outage is available for a = 0 only")
-        root = np.sqrt(snr)
-        grid = np.empty(snr.shape + links.shape)
-        for j, k in enumerate(links):
-            grid[..., j] = PhasorSumDistribution(int(k)).cdf(np.minimum(root, k))
-        return grid
+        return _cdf_grid(links, np.sqrt(snr))
     s = snr[..., None]
     if a == 0.0:
         return -np.expm1(-s / links)
@@ -261,9 +257,10 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     """Outage at each rate with static phases, conditioned on n_avail >= 1
     active links.
 
-    Exact mode evaluates the phasor-sum cdf at sqrt(2^R - 1), all rates in
-    one call, and requires a = 0; approximate mode uses the exponential
-    (NLOS) or Marcum-Q (LOS) tail valid for large link counts.
+    Exact mode evaluates Pr(S < sqrt(2^R - 1)) for the phasor sum S, all
+    rates in one call, and requires a = 0 (one link is an outage only
+    above R = 1); approximate mode uses the exponential (NLOS) or Marcum-Q
+    (LOS) tail valid for large link counts.
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
     snr = _snr(_nonnegatives(rate, "rate"))
@@ -280,11 +277,12 @@ def outage_static(
     One pass builds the float grid of F_k at every rate for every link
     count k of positive weight, a rates x (n+1) temporary at most: one
     broadcast without LOS, one Marcum-Q call over the whole grid with LOS,
-    and one phasor-sum cdf call per link count in exact mode. The zero-link
-    column is the deterministic LOS-only channel, an outage exactly when
-    the rate exceeds log2(1+a^2) (strict). Each rate's row is weighted and
-    summed on its own (pairwise), so a rate gives the same bits alone or
-    in any array. A row whose every term is 1 is exactly 1.
+    and one phasor-sum series pass over all link counts in exact mode
+    (hankel._cdf_grid). The zero-link column is the deterministic LOS-only
+    channel, an outage exactly when the rate exceeds log2(1+a^2) (strict).
+    Each rate's row is weighted and summed on its own (pairwise), so a
+    rate gives the same bits alone or in any array. A row whose every term
+    is 1 is exactly 1.
     """
     _require(scenario, Scheme.STATIC)
     evaluate = _static_mixture(scenario, CapacityMethod(mode))

@@ -347,6 +347,22 @@ class TestOutageStaticFixed:
         assert outage_static_fixed(1, 0.5, 0.0, EXACT) == pytest.approx(0.0, abs=1e-4)
         assert outage_static_fixed(1, 1.5, 0.0, EXACT) == 1.0
 
+    def test_one_link_atom_is_not_an_outage(self):
+        # one link carries exactly 1 bit, and outage is Pr(C < R): R = 1 is
+        # not an outage with one link, as under hopping and perfect phases.
+        # The exact static path counted the atom at |h| = 1 there.
+        above = np.nextafter(1.0, 2.0)
+        assert outage_static_fixed(1, 1.0, 0.0, EXACT) == 0.0
+        assert outage_static_fixed(1, above, 0.0, EXACT) == 1.0
+        one = {s: Scenario(1, 1.0, scheme=s) for s in (Scheme.STATIC, Scheme.HOPPING)}
+        assert outage_static(one[Scheme.STATIC], 1.0, EXACT) == 0.0
+        assert outage_hopping(one[Scheme.HOPPING], 1.0, EXACT) == 0.0
+        assert outage_perfect(Scenario(1, 1.0, scheme=Scheme.PERFECT), 1.0) == 0.0
+        # the mixture at R = 1 is its limit from below; P1 = 20 * 2^-20 more above
+        below, at, over = outage_static(STATIC20, [np.nextafter(1.0, 0.0), 1.0, above], EXACT)
+        assert at == pytest.approx(below, abs=1e-14)
+        assert over - at == pytest.approx(20 * 2.0**-20, rel=1e-9)
+
     def test_approx_nlos_value(self):
         assert outage_static_fixed(20, 1.0, 0.0, APPROX) == pytest.approx(
             1 - np.exp(-1 / 20), rel=1e-12

@@ -1,10 +1,16 @@
+import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from phasehop.hankel import AccuracyWarning, PhasorSumDistribution, hankel_transform
+from phasehop import hankel
+from phasehop.analytic import CapacityMethod, outage_static
+from phasehop.hankel import (AccuracyWarning, PhasorSumDistribution, _cdf_grid,
+                             _cdf_series, _j1_zeros, hankel_transform)
+from phasehop.model import Scenario, Scheme
 
 
 def two_link_density(s):
@@ -67,6 +73,13 @@ class TestPhasorSumDistribution:
                 PhasorSumDistribution(n)
         assert PhasorSumDistribution(np.int64(3)).cdf(1.0) == PhasorSumDistribution(
             3).cdf(1.0)
+
+    def test_links_stored_as_int(self):
+        # a whole float or numpy integer was kept as given: n_links was 5.0
+        for n in (5.0, np.int64(5), np.float32(5.0)):
+            d = PhasorSumDistribution(n)
+            assert type(d.n_links) is int and d.n_links == 5
+            assert d == PhasorSumDistribution(5)
 
     def test_domain_error(self):
         d = PhasorSumDistribution(3)
@@ -272,3 +285,126 @@ class TestMcAgreement:
             ana = d.cdf(s)
             sigma = np.sqrt(ana * (1 - ana) / samples.size)
             assert abs(emp - ana) <= 3 * sigma + 1e-4
+
+
+class TestJ1Zeros:
+    # mpmath 1.3.0, besseljzero(1, m) at mp.dps = 30, to 20 digits
+    REFS = {1: "3.8317059702075123156", 2: "7.0155866698156187535",
+            10: "32.189679910974403627", 100: "314.94347283776716246",
+            1000: "3142.3779324168182165"}
+
+    def test_within_one_ulp_of_jn_zeros(self):
+        gamma, norm = _j1_zeros()
+        ref = special.jn_zeros(1, 1000)
+        assert gamma.shape == ref.shape
+        assert np.all(np.abs(gamma - ref) <= np.spacing(ref))
+        np.testing.assert_array_equal(norm, gamma * special.j0(gamma) ** 2)
+        assert not (gamma.flags.writeable or norm.flags.writeable)
+
+    def test_mpmath_references(self):
+        gamma, _ = _j1_zeros()
+        for m, want in self.REFS.items():
+            assert abs(gamma[m - 1] - float(want)) <= np.spacing(float(want)), m
+
+
+def series_reference(k, rho):
+    """F_k(rho-) for one link count k: the closed forms at k = 1 and 2,
+    else the _cdf_series terms of k alone, summed row by row."""
+    if k == 1:
+        return (rho > 1.0).astype(float)
+    x = np.minimum(rho, k)
+    if k == 2:
+        return np.arcsin(x / 2.0) * (2.0 / np.pi)
+    freq, coef = _cdf_series(k)
+    u = x / k
+    terms = (special.j1(np.multiply.outer(x, freq)) * coef).sum(axis=-1)
+    return np.where(x >= k, 1.0, np.clip(u * u + 2.0 * u * terms, 0.0, 1.0))
+
+
+LAWS = {"20-0.5": Scenario(20, 0.5, scheme=Scheme.STATIC),
+        "64-0.2": Scenario(64, 0.2, scheme=Scheme.STATIC),
+        "het5": Scenario(5, (0.9, 0.7, 0.5, 0.3, 0.1), scheme=Scheme.STATIC),
+        "empty": Scenario(5, 0.0, scheme=Scheme.STATIC)}
+
+
+def law_links(scenario):
+    pmf = scenario.link_count_distribution().pmf
+    links = np.flatnonzero(pmf)
+    return links[links > 0], pmf
+
+
+def edge_amplitudes(n):
+    """0, every link count k and its two neighbouring floats, points in
+    between, and inf."""
+    k = np.arange(1.0, n + 1)
+    return np.concatenate(([0.0, np.inf], k, np.nextafter(k, 0.0), np.nextafter(k, np.inf),
+                           np.linspace(0.0, n + 1, 97)))
+
+
+class TestCdfGrid:
+    @pytest.mark.parametrize("law", LAWS)
+    def test_matches_per_link_count_series(self, law):
+        sc = LAWS[law]
+        links, pmf = law_links(sc)
+        rho = edge_amplitudes(sc.n_elements)
+        grid = _cdf_grid(links, rho)
+        assert grid.shape == rho.shape + links.shape
+        ref = np.array([series_reference(k, rho) for k in links]).reshape(-1, rho.size).T
+        np.testing.assert_allclose(grid, ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(grid @ pmf[links], ref @ pmf[links], rtol=0, atol=1e-15)
+        # the mixture itself, at the rates of these amplitudes
+        rates = np.log2(1.0 + rho[np.isfinite(rho)] ** 2)
+        root = np.sqrt(np.power(2.0, rates) - 1.0)
+        want = pmf[0] * (rates > 0.0) + sum(p * series_reference(k, root)
+                                            for k, p in zip(links, pmf[links]))
+        np.testing.assert_allclose(outage_static(sc, rates, CapacityMethod.EXACT_HANKEL),
+                                   np.minimum(1.0, want), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_array_is_scalar(self, law):
+        links, _ = law_links(LAWS[law])
+        rho = edge_amplitudes(LAWS[law].n_elements)
+        grid = _cdf_grid(links, rho.reshape(-1, 1))
+        assert grid.shape == (rho.size, 1, links.size)
+        scalar = np.array([_cdf_grid(links, x) for x in rho])
+        np.testing.assert_array_equal(grid[:, 0], scalar)
+
+    def test_one_link_atom(self):
+        # F_1(rho-) = 1[rho > 1]: the atom at 1 is not below 1; the law's
+        # own cdf is right-continuous
+        rho = np.array([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+        np.testing.assert_array_equal(_cdf_grid(np.array([1]), rho)[:, 0], [0.0, 0.0, 1.0])
+        assert PhasorSumDistribution(1).cdf(1.0) == 1.0
+
+    def test_one_series_call_per_chunk(self, monkeypatch):
+        # link counts at or below every amplitude of a chunk get no J1
+        # terms, and no chunk holds more than _CHUNK of them
+        sizes = []
+
+        def j1(x, out=None):
+            sizes.append(x.size)
+            return special.j1(x, out=out)
+
+        links = np.arange(3, 21)
+        for table in (links, np.arange(1, 65)):  # build the tables first
+            _cdf_grid(table, np.array(0.5))
+        monkeypatch.setattr(hankel, "special", types.SimpleNamespace(j1=j1))
+        _cdf_grid(links, np.array([5.5, 7.0]))
+        assert sizes == [2 * sum(_cdf_series(k)[0].size for k in range(6, 21))]
+        sizes.clear()
+        assert np.all(_cdf_grid(links, np.array([20.0, np.inf])) == 1.0)
+        assert sizes == []
+        _cdf_grid(np.arange(1, 65), np.linspace(0.0, 70.0, 2000))
+        assert len(sizes) > 1 and max(sizes) <= hankel._CHUNK
+
+    def test_curve_memory(self):
+        # 2,000 rates at (64, 0.2): one cdf call per link count peaked at
+        # 31.6 MiB and one unchunked pass at 459 MB; in chunks, about 10 MB
+        sc = Scenario(64, 0.2, scheme=Scheme.STATIC)
+        tracemalloc.start()
+        try:
+            outage_static(sc, np.linspace(0.0, 9.0, 2000), CapacityMethod.EXACT_HANKEL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 31.6 * 2**20
