@@ -7,15 +7,20 @@ all four schemes, eps-outage capacities, and the general-fading outage
 approximation. `outage` serves every scheme; each per-scheme outage
 function rejects a scenario of another scheme. A method is a
 CapacityMethod or its value, such as "exact"; any other is a ValueError.
-Each (scenario, method) has its tables built once, in bounded lru caches:
-the step plateaus with the link-count cdf, and the static mixture's
-evaluator, on which static eps-capacity runs one Brent search per eps.
+Each (scenario, method) has its tables built once, in bounded lru caches
+keyed on the scenario's hash, which it computes once: the step plateaus
+with the link-count cdf, and the static mixture's evaluator, on which
+static eps-capacity runs one Brent search per eps. The outages at the
+ends of its bracket are cached with the bracket, and Brent, which
+starts at both ends, reads them instead of evaluating them again.
 
 Capacities take a whole number or an array of link counts, outage and
 eps-capacity a float or an array of rates (or eps); each returns a float
-or an array of the same shape, by one code path. A NaN or negative rate
-raises ValueError; a rate too large for 2^R is an outage. Outage is
-Pr(C < R): a rate on a capacity plateau is not an outage.
+or an array of the same shape, by one code path: the input is converted
+to a float array once (specfun._floats) and checked with one reduction.
+A NaN or negative rate raises ValueError; a rate too large for 2^R is an
+outage. Outage is Pr(C < R): a rate on a capacity plateau is not an
+outage.
 """
 from __future__ import annotations
 
@@ -29,8 +34,8 @@ from scipy import optimize, special
 
 from .hankel import _cdf_grid
 from .model import Scenario, Scheme, _capacity, _characteristic
-from .specfun import (_amplitude, _first_bad, _like, _nonnegatives, cal_e, cal_e_inverse,
-                      marcum_q1, quantile, whole_number, whole_numbers)
+from .specfun import (_amplitude, _first_bad, _floats, _like, _nonnegatives, cal_e,
+                      cal_e_inverse, marcum_q1, quantile, whole_number, whole_numbers)
 
 __all__ = [
     "CapacityMethod",
@@ -125,9 +130,9 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
 def _capacities(n_avail, a: float, method: CapacityMethod):
     """C(k, a) for each whole link count k in n_avail, from the table up
     to the largest."""
-    k = np.atleast_1d(whole_numbers(n_avail, 0, "n_avail"))
+    k = whole_numbers(n_avail, 0, "n_avail")
     table = _capacity_table(int(k.max(initial=0)), float(a), CapacityMethod(method))
-    return _like(table[k], n_avail)
+    return float(table[k]) if k.ndim == 0 else table[k]
 
 
 def erg_capacity_nlos(n_avail, method: CapacityMethod):
@@ -181,7 +186,8 @@ def _step_outage(scenario: Scenario, rate, method=CapacityMethod.APPROX_EI):
     of _step_table: searchsorted counts the link numbers whose capacity
     lies below each rate."""
     caps, cdf0 = _step_table(scenario, method)
-    return _like(cdf0[np.searchsorted(caps, _nonnegatives(rate, "rate"), "left")], rate)
+    x, scalar = _nonnegatives(rate, "rate")
+    return _like(cdf0[caps.searchsorted(x, "left")], scalar)
 
 
 def outage(scenario: Scenario, rate,
@@ -217,18 +223,23 @@ def eps_capacity(
     """eps-outage capacity at each eps: the largest rate whose outage does
     not exceed eps."""
     method = CapacityMethod(method)
-    e = np.atleast_1d(np.asarray(eps, dtype=float))
+    e, scalar = _floats(eps)
     k = quantile(scenario.link_count_distribution(), e)
     if scenario.scheme is not Scheme.STATIC:
-        return _like(_step_table(scenario, method)[0][k], eps)
+        return _like(_step_table(scenario, method)[0][k], scalar)
     # static: invert the continuous outage curve, one root search per eps
     evaluate = _static_mixture(scenario, method)
     r_max, top, bottom = _static_bracket(scenario, method)
+    known = {_EPS_LO: bottom, r_max: top}  # Brent evaluates both ends first
+
+    def excess(r: float, t: float) -> float:
+        value = known.get(r)
+        return (evaluate(np.array([r]))[0] if value is None else value) - t
     out = np.where(top <= e, r_max, 0.0)
     inside = (top > e) & (bottom <= e)
-    out[inside] = [optimize.brentq(lambda r: evaluate(np.array([r]))[0] - t,
-                                   _EPS_LO, r_max, xtol=1e-10) for t in e[inside]]
-    return _like(out, eps)
+    out[inside] = [optimize.brentq(excess, _EPS_LO, r_max, (t,), xtol=1e-10)
+                   for t in e[inside]]
+    return _like(out, scalar)
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,18 +250,18 @@ def _static_bracket(scenario: Scenario, method: CapacityMethod) -> tuple[float, 
     return r_max, *_static_mixture(scenario, method)(np.array([r_max, _EPS_LO]))
 
 
-def _static_fixed(links: np.ndarray, snr: np.ndarray, a: float,
-                  mode: CapacityMethod) -> np.ndarray:
-    """Outage with exactly k >= 1 links on the grid of rates, given as
-    snr = 2^R - 1, by link counts k (the last axis)."""
+def _static_fixed(links: np.ndarray, a: float, mode: CapacityMethod):
+    """Outage with exactly k >= 1 links as a function of a rate array,
+    given as snr = 2^R - 1, with the link counts k on a new last axis.
+    The LOS argument of the Marcum-Q tail is taken here, once."""
     if mode is CapacityMethod.EXACT_HANKEL:
         if a != 0.0:
             raise ValueError("exact static outage is available for a = 0 only")
-        return _cdf_grid(links, np.sqrt(snr))
-    s = snr[..., None]
+        return lambda snr: _cdf_grid(links, np.sqrt(snr))
     if a == 0.0:
-        return -np.expm1(-s / links)
-    return 1.0 - marcum_q1(np.sqrt(2.0 * a * a / links), np.sqrt(2.0 * s / links))
+        return lambda snr: -np.expm1(-snr[..., None] / links)
+    los = np.sqrt(2.0 * a * a / links)
+    return lambda snr: 1.0 - marcum_q1(los, np.sqrt(2.0 * snr[..., None] / links))
 
 
 def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
@@ -263,9 +274,9 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     (LOS) tail valid for large link counts.
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
-    snr = _snr(_nonnegatives(rate, "rate"))
-    return _like(_static_fixed(links, snr, _amplitude(a, "a"), CapacityMethod(mode))[..., 0],
-                 rate)
+    x, scalar = _nonnegatives(rate, "rate")
+    fixed = _static_fixed(links, _amplitude(a, "a"), CapacityMethod(mode))
+    return _like(fixed(_snr(x))[..., 0], scalar)
 
 
 def outage_static(
@@ -285,8 +296,8 @@ def outage_static(
     is 1 is exactly 1.
     """
     _require(scenario, Scheme.STATIC)
-    evaluate = _static_mixture(scenario, CapacityMethod(mode))
-    return _like(evaluate(_nonnegatives(rate, "rate")), rate)
+    x, scalar = _nonnegatives(rate, "rate")
+    return _like(_static_mixture(scenario, CapacityMethod(mode))(x), scalar)
 
 
 @functools.lru_cache(maxsize=64)
@@ -297,13 +308,15 @@ def _static_mixture(scenario: Scenario, mode: CapacityMethod):
     pmf, a = scenario.link_count_distribution().pmf, scenario.los_amplitude
     weighted = np.flatnonzero(pmf)
     links, weights, los_cap = weighted[weighted > 0], pmf[weighted], _capacity(a, 0.0)
+    fixed_outage = _static_fixed(links, a, mode)
 
     def evaluate(r: np.ndarray) -> np.ndarray:
-        fixed = _static_fixed(links, _snr(r), a, mode)
+        fixed = fixed_outage(_snr(r))
         if pmf[0] > 0.0:
             fixed = np.concatenate(((r > los_cap)[..., None], fixed), axis=-1)
         total = (fixed * weights).sum(axis=-1)
-        return np.where((fixed == 1.0).all(axis=-1), 1.0, np.minimum(1.0, total))
+        # every term is in [0, 1], so the row's min is 1 when all of them are
+        return np.where(fixed.min(axis=-1) == 1.0, 1.0, np.minimum(1.0, total))
     return evaluate
 
 
@@ -342,22 +355,23 @@ class EmpiricalCdf:
 
     def __call__(self, x):
         """F at each x, a float or an array like x; NaN raises ValueError."""
-        v = np.atleast_1d(np.asarray(x, dtype=float))
+        v, scalar = _floats(x)
         if np.isnan(v).any():
             raise ValueError(f"x must be a number, got {_first_bad(x, ~np.isnan(v))}")
-        idx = np.searchsorted(self.x, v, side="right")
-        return _like(np.where(idx == 0, 0.0, self.f[idx - 1]), x)
+        idx = self.x.searchsorted(v, side="right")
+        return _like(np.where(idx == 0, 0.0, self.f[idx - 1]), scalar)
 
 
 def outage_general_fading(rate, sigma2_cdf: EmpiricalCdf):
     """Outage under phase hopping at each rate for a general fading law of
     the summed link power sigma^2: the cdf at 1 / (2 E^{-1}(R ln 2)), where
     E(x) = -e^x Ei(-x), at 0 for R = 0 and at inf past R ~ 1073."""
-    y = _nonnegatives(rate, "rate") * _LN2
+    x, scalar = _nonnegatives(rate, "rate")
+    y = x * _LN2
     threshold = np.zeros_like(y)
     with np.errstate(over="ignore"):
         threshold[y > 0] = 1.0 / (2.0 * cal_e_inverse(y[y > 0]))
-    return _like(sigma2_cdf(threshold), rate)
+    return _like(sigma2_cdf(threshold), scalar)
 
 
 def min_outage(scenario: Scenario) -> float:

@@ -8,7 +8,7 @@ the series of every link count in one pass, from one cached table per link
 set, in chunks of amplitudes that bound its temporary. The zeros of J1 come
 from McMahon's expansion refined by Newton steps. The density is exact up
 to n = 4 (Borwein, Straub, Wan and Zudilin 2012, Canad. J. Math. 64) and
-the series' derivative from n = 5.
+the series' derivative from n = 5, in chunks of the same size.
 
 The Hankel transform, the series' test oracle, integrates oscillatory and
 often only conditionally convergent integrands block by block with adaptive
@@ -291,8 +291,16 @@ class PhasorSumDistribution:
             out = np.vectorize(_four_link_density, otypes=[float])(x)
         else:
             _, freq, coef, _ = _series_table((n,))
-            # summed row by row, so each value is the same for any array
-            terms = (special.j0(np.multiply.outer(x, freq)) * (n * freq * coef)).sum(axis=-1)
+            weight, flat = n * freq * coef, x.reshape(-1)
+            terms = np.empty(flat.shape)
+            rows = max(1, _CHUNK // freq.size)
+            for lo in range(0, flat.size, rows):  # as _cdf_grid chunks its amplitudes
+                t = np.multiply.outer(flat[lo:lo + rows], freq)
+                special.j0(t, out=t)
+                t *= weight
+                # summed row by row, so each value is the same for any array
+                terms[lo:lo + rows] = t.sum(axis=-1)
+            terms = terms.reshape(x.shape)
             out = np.where(x < n, np.maximum(0.0, 2.0 * x / n**2 * (1.0 + terms)), 0.0)
         return float(out) if out.ndim == 0 else out
 

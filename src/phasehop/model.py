@@ -89,6 +89,21 @@ class Scenario:
         p = self.prob_vector
         return bool(np.all(p == p[0]))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # hashed once: every analytic call keys its lru caches on the
+        # scenario, and a tuple of N probabilities takes microseconds
+        return hash((self.n_elements, self.link_probs, self.los_amplitude, self.scheme,
+                     self.quant_levels))
+
+    def __getstate__(self) -> dict:
+        # str and enum hashes change with PYTHONHASHSEED: a pickle carries
+        # no hash, and each process computes its own
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def link_count_distribution(self) -> DiscreteDistribution:
         """Law of the number of available links, computed once per scenario."""
         return self._link_law

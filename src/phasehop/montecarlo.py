@@ -148,8 +148,8 @@ class McResult:
         """Empirical outage Pr(C_erg < R): strict left counts at each rate,
         a float for a scalar rate and an array for an array, as in
         analytic.outage. A NaN or negative rate raises ValueError."""
-        counts = np.searchsorted(self._sorted, _nonnegatives(rates, "rate"), side="left")
-        return _like(counts / self._sorted.size, rates)
+        x, scalar = _nonnegatives(rates, "rate")
+        return _like(self._sorted.searchsorted(x, side="left") / self._sorted.size, scalar)
 
 
 def _chunk_rows(width: int) -> int:

@@ -3,6 +3,10 @@
 Everything here is a pure function of its arguments; the heavy lifting is
 delegated to scipy where a well-tested routine exists. E(x) = exp(x)E1(x)
 and its inverse take a float or an array, like marcum_q1 and quantile.
+The input helpers of the public calls convert a number or an array once
+(_floats) and check it with one reduction: x.min(initial=0.0) >= 0.0 is
+False for a negative entry and for NaN. A numpy call costs about a
+microsecond whatever its size, most of the time of a call on one rate.
 """
 from __future__ import annotations
 
@@ -115,14 +119,22 @@ def whole_numbers(values, least: int, name: str) -> np.ndarray:
     return x.astype(np.int64)
 
 
-def _nonnegatives(values, name: str) -> np.ndarray:
-    """values as a float array of at least one dimension; NaN or negative
-    entries raise ValueError."""
-    x = np.atleast_1d(np.asarray(values, dtype=float))
-    if not (x >= 0.0).all():
+def _floats(values) -> tuple[np.ndarray, bool]:
+    """values converted once to a float array of at least one dimension,
+    and whether they were one number (0-d), read off the same array."""
+    x = np.asarray(values, dtype=float)
+    return (x[None], True) if x.ndim == 0 else (x, False)
+
+
+def _nonnegatives(values, name: str) -> tuple[np.ndarray, bool]:
+    """_floats(values); NaN or negative entries raise ValueError. One
+    reduction checks them all: the min with initial 0 is below 0 or NaN
+    exactly when some entry is."""
+    x, scalar = _floats(values)
+    if not x.min(initial=0.0) >= 0.0:
         raise ValueError(f"{name} must be a number >= 0, "
                          f"got {_first_bad(values, x >= 0.0)}")
-    return x
+    return x, scalar
 
 
 def _amplitude(a, name: str) -> float:
@@ -132,9 +144,9 @@ def _amplitude(a, name: str) -> float:
     return float(a)
 
 
-def _like(result: np.ndarray, values):
-    """A float if the input values were a scalar, else the array result."""
-    return float(result[0]) if np.ndim(values) == 0 else result
+def _like(result: np.ndarray, scalar: bool):
+    """A float if the input was one number (_floats), else the array result."""
+    return float(result[0]) if scalar else result
 
 
 def marcum_q1(a, b):
@@ -145,19 +157,23 @@ def marcum_q1(a, b):
     >= 0, exactly exp(-b^2/2) at a = 0; ncx2.sf redoes a sum under 1e-20, near
     chndtr's flush to 0. Where b - a > 38.7 it is 0, and chndtr, slowest
     there, gets noncentrality 0. Within 1.2e-13 of 40-digit mpmath for
-    Q1 >= 1e-20."""
+    Q1 >= 1e-20. Each argument is checked by one reduction, and the
+    clamps work in place on the sum."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
-        if not (v >= 0).all():
+        if not v.min(initial=0.0) >= 0.0:  # NaN fails too
             raise ValueError(
                 f"arguments must be numbers >= 0, got {name}={_first_bad(v, v >= 0)}")
     with np.errstate(over="ignore", invalid="ignore"):
         a2, b2, far = a * a, b * b, b - a > 38.7  # Q1 <= exp(-(b-a)^2/2) underflows
-        q = (special.chndtr(a2, 2, np.where(far, 0.0, b2))
-             + np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b))
-    q = np.where(b == 0, 1.0, np.where(far, 0.0, np.minimum(q, 1.0)))
-    ok = q >= 1e-20  # False at NaN too: chndtr fails past b^2 ~ 1e11
-    if not ok.all() and (redo := ~ok & (a > 0) & ~far).any():
+        q = np.asarray(special.chndtr(a2, 2.0, np.where(far, 0.0, b2))
+                       + np.exp(-0.5 * (a - b) ** 2) * special.i0e(a * b))
+    # q is a new array of far's shape, clamped in place
+    np.minimum(q, 1.0, out=q)
+    q[far] = 0.0
+    np.copyto(q, 1.0, where=b == 0)
+    # below 1e-20, or NaN: chndtr fails past b^2 ~ 1e11
+    if not q.min(initial=1.0) >= 1e-20 and (redo := ~(q >= 1e-20) & (a > 0) & ~far).any():
         # the only use of scipy.stats, whose import costs 0.7 s
         from scipy import stats
         q[redo] = stats.ncx2.sf(*(np.broadcast_to(v, q.shape)[redo] for v in (b2, 2, a2)))
@@ -233,8 +249,8 @@ def quantile(dist: DiscreteDistribution, eps):
     """Smallest k with cdf[k] > eps (strict, matching the outage convention),
     for each eps: an int for a scalar eps, else an integer array."""
     e = np.asarray(eps, dtype=float)
-    ok = (e >= 0.0) & (e < 1.0)
-    if not ok.all():
+    if not (e.min(initial=0.0) >= 0.0 and e.max(initial=0.0) < 1.0):  # NaN fails
+        ok = (e >= 0.0) & (e < 1.0)
         raise ValueError(f"eps must be in [0, 1), got {_first_bad(eps, ok)}")
-    k = np.searchsorted(dist.cdf, e, side="right")
+    k = dist.cdf.searchsorted(e, side="right")
     return int(k) if e.ndim == 0 else k

@@ -22,7 +22,7 @@ from phasehop.analytic import (
     outage_static_fixed,
 )
 from phasehop.model import Scenario, Scheme
-from phasehop.montecarlo import McConfig, run
+from phasehop.montecarlo import McConfig, McResult, run
 from phasehop.specfun import binomial, cal_e
 
 EXACT = CapacityMethod.EXACT_HANKEL
@@ -269,6 +269,21 @@ class TestEpsCapacity:
         assert np.count_nonzero(ref) >= 4  # eps above Pr(no link) (1/64 at n = 6)
         np.testing.assert_array_equal(eps_capacity(sc, eps, method), ref)
         assert [eps_capacity(sc, float(e), method) for e in eps] == ref.tolist()
+
+    def test_bracket_ends_not_evaluated_again(self, monkeypatch):
+        # the outages at _EPS_LO and r_max come from _static_bracket; Brent
+        # used to evaluate both again at the start of every search
+        sc = Scenario(20, 0.5, scheme=Scheme.STATIC)
+        r_max, _, _ = analytic._static_bracket(sc, APPROX)
+        evaluate, rates = analytic._static_mixture(sc, APPROX), []
+
+        def recorded(r):
+            rates.extend(r.tolist())
+            return evaluate(r)
+        monkeypatch.setattr(analytic, "_static_mixture", lambda *_: recorded)
+        eps_capacity(sc, np.array([1e-6, 1e-3, 0.1]))
+        assert len(rates) >= 3
+        assert analytic._EPS_LO not in rates and r_max not in rates
 
     @pytest.mark.parametrize("scheme, table", [
         (Scheme.STATIC, analytic._static_mixture), (Scheme.HOPPING, analytic._step_table)])
@@ -540,6 +555,80 @@ class TestRateArguments:
         for sc in (HOP20, STATIC20, PERFECT20):
             assert eps_capacity(sc, eps).shape == (2, 2)
             assert isinstance(eps_capacity(sc, 1e-3), float)
+
+
+def _mc_result():
+    return McResult(np.array([0.1, 0.3, 0.7]), np.array([1, 2, 3]),
+                    McConfig(Scenario(3, 0.5), 3, 1))
+
+
+class TestInputForms:
+    # every public call that takes a number or an array of them converts it
+    # once: a float for one number, an array of the input's shape otherwise
+    SIGMA2 = EmpiricalCdf.from_samples([0.2, 0.5, 1.5, 4.0])
+    CALLS = {
+        "outage hopping": lambda x: outage(HOP20, x),
+        "outage quantized": lambda x: outage(
+            Scenario(20, 0.5, scheme=Scheme.QUANTIZED, quant_levels=2), x),
+        "outage static": lambda x: outage(STATIC20, x),
+        "outage static exact": lambda x: outage(STATIC20, x, EXACT),
+        "outage static los": lambda x: outage(Scenario(10, 0.5, 3.0, Scheme.STATIC), x),
+        "outage perfect": lambda x: outage(PERFECT20, x),
+        "eps_capacity hopping": lambda x: eps_capacity(HOP20, x),
+        "eps_capacity static": lambda x: eps_capacity(Scenario(6, 0.5, scheme="static"), x),
+        "outage_static_fixed": lambda x: outage_static_fixed(6, x, 0.0, APPROX),
+        "outage_static_fixed exact": lambda x: outage_static_fixed(6, x, 0.0, EXACT),
+        "outage_static_fixed los": lambda x: outage_static_fixed(6, x, 2.0, APPROX),
+        "McResult.outage_at": lambda x: _mc_result().outage_at(x),
+        "EmpiricalCdf": SIGMA2,
+        "outage_general_fading": lambda x: outage_general_fading(x, TestInputForms.SIGMA2),
+    }
+    NAMES = {"eps": "eps must be in \\[0, 1\\)", "x": "x must be a number",
+             "rate": "rate must be a number >= 0"}
+
+    def _name(self, call):
+        return self.NAMES["eps" if call.startswith("eps") else
+                          "x" if call == "EmpiricalCdf" else "rate"]
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_one_number_gives_a_float(self, call):
+        f = self.CALLS[call]
+        for value in (0.25, np.float64(0.25), np.float32(0.25), np.array(0.25)):
+            out = f(value)
+            assert type(out) is float and out == f(float(np.float32(value))), value
+        assert type(f(0)) is float and f(0) == f(0.0)
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_arrays_keep_their_shape(self, call):
+        f = self.CALLS[call]
+        values = [0.0, 0.125, 0.25, 0.5, 0.75, 0.875]
+        want = [f(v) for v in values]
+        for x in (values, tuple(values), np.array(values)):
+            out = f(x)
+            assert type(out) is np.ndarray and out.shape == (6,)
+            np.testing.assert_array_equal(out, want)
+        out = f(np.reshape(values, (2, 3)))
+        assert out.shape == (2, 3)
+        np.testing.assert_array_equal(out, np.reshape(want, (2, 3)))
+        for empty in (np.array([]), [], np.empty((0, 3))):
+            out = f(empty)
+            assert type(out) is np.ndarray and out.shape == np.shape(empty)
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_bad_numbers_named(self, call):
+        # one number and a 2-d array (a 1-d one is TestBadArrayMessages'
+        # case); eps_capacity hands quantile its eps as a 1-d array, so one
+        # number is named as entry 0 too
+        f, name = self.CALLS[call], self._name(call)
+        alone = " at index 0" if call.startswith("eps") else ""
+        for bad, shown in ((np.nan, "nan"), (-1.0, "-1.0"), (-np.inf, "-inf")):
+            if call == "EmpiricalCdf" and bad < 0:
+                assert f(bad) == 0.0  # any real x has a cdf value
+                continue
+            with pytest.raises(ValueError, match=f"^{name}, got {shown}{alone}$"):
+                f(bad)
+            with pytest.raises(ValueError, match=f"^{name}, got {shown} at index \\(1, 0\\)$"):
+                f(np.array([[0.5, 0.25], [bad, 0.5]]))
 
 
 class TestSchemeDominance:

@@ -1,3 +1,10 @@
+import dataclasses
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +126,55 @@ class TestScenario:
             Scenario(7, 1.0, scheme=Scheme.PERFECT),
         ):
             assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+class TestScenarioHash:
+    # the hash is computed once per instance and kept off the pickled state
+
+    def test_equal_scenarios_hash_equal(self):
+        probs = [0.1, 0.5, 0.9]
+        for a, b in [
+            (Scenario(20, 0.5), Scenario(20.0, 0.5)),
+            (Scenario(np.int64(20), np.float32(0.5)), Scenario(20, 0.5)),
+            (Scenario(3, probs), Scenario(3, tuple(probs))),
+            (Scenario(3, np.array(probs)), Scenario(3, probs)),
+            (Scenario(20, 0.5, scheme="static"), Scenario(20, 0.5, scheme=Scheme.STATIC)),
+            (Scenario(4, 0.5, 1, "quantized", 2.0), Scenario(4, 0.5, 1.0, Scheme.QUANTIZED, 2)),
+        ]:
+            assert a == b and hash(a) == hash(b)
+            assert hash(a) == hash(b)  # once more, from the cached value
+            assert {a: 1}[b] == 1
+
+    def test_replace_gives_a_new_hash(self):
+        sc = Scenario(20, 0.5, scheme=Scheme.STATIC)
+        hash(sc)
+        for changes in ({"n_elements": 21}, {"link_probs": 0.4}, {"los_amplitude": 1.0},
+                        {"scheme": Scheme.PERFECT}):
+            other = dataclasses.replace(sc, **changes)
+            fresh = Scenario(**{**dataclasses.asdict(sc), **changes})
+            assert other != sc and other == fresh
+            assert hash(other) == hash(fresh) != hash(sc)
+
+    def test_pickle_from_another_hash_seed(self):
+        # enum and str hashes change with PYTHONHASHSEED; a hash cached in
+        # one process must not travel to another in the pickle
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        code = ("import pickle, sys; from phasehop.model import Scenario; "
+                "sc = Scenario(20, (0.5,) * 20, 1.5, 'static'); "
+                "print(hash(sc), hash(sc.scheme)); "
+                "sys.stdout.write(pickle.dumps(sc).hex())")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=str(src),
+                                                  PYTHONHASHSEED=seed)).stdout
+        hashes, blob = out.split("\n")
+        there, scheme_there = map(int, hashes.split())
+        sc = pickle.loads(bytes.fromhex(blob))
+        fresh = Scenario(20, (0.5,) * 20, 1.5, Scheme.STATIC)
+        assert sc == fresh and hash(sc) == hash(fresh)
+        assert {fresh: 1}[sc] == 1
+        if scheme_there != hash(Scheme.STATIC):  # the seeds differ, as they should
+            assert there != hash(fresh)
 
 
 class TestEffectiveChannel:

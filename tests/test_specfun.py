@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from phasehop.analytic import EmpiricalCdf, outage
+from phasehop.analytic import (EmpiricalCdf, eps_capacity, outage, outage_general_fading,
+                               outage_static_fixed)
 from phasehop.hankel import PhasorSumDistribution
 from phasehop.model import Scenario
+from phasehop.montecarlo import McConfig, McResult
 from phasehop.specfun import (
     DiscreteDistribution,
     binomial,
@@ -334,8 +336,19 @@ class TestBadArrayMessages:
          "x must be a number, got nan at index 317"),
         (PhasorSumDistribution(3).cdf, 1.0, 4.0,
          r"s=4.0 at index 317 outside support \[0, 3\]"),
+        (lambda x: outage(Scenario(6, 0.5, 2.0, "static"), x), 1.0, -np.inf,
+         "rate must be a number >= 0, got -inf at index 317"),
+        (lambda x: eps_capacity(Scenario(20, 0.5), x), 0.5, -1.0,
+         r"eps must be in \[0, 1\), got -1.0 at index 317"),
+        (lambda x: outage_static_fixed(3, x, 0.0, "exact"), 1.0, np.nan,
+         "rate must be a number >= 0, got nan at index 317"),
+        (lambda x: outage_general_fading(x, EmpiricalCdf.from_samples([1.0])), 1.0, -1.0,
+         "rate must be a number >= 0, got -1.0 at index 317"),
+        (McResult(np.array([1.0]), np.array([1]), McConfig(Scenario(2, 0.5), 1, 1)).outage_at,
+         1.0, -np.inf, "rate must be a number >= 0, got -inf at index 317"),
     ], ids=["rate", "quantile", "whole_numbers", "cal_e", "cal_e_inverse", "marcum_q1",
-            "empirical_cdf", "phasor_sum_cdf"])
+            "empirical_cdf", "phasor_sum_cdf", "static_los_rate", "eps_capacity",
+            "outage_static_fixed", "general_fading", "mc_outage_at"])
     def test_names_the_first_bad_entry(self, call, good, bad, message):
         # the message embedded the whole array: 28 lines for 500 NaN rates
         x = np.full(500, good)
