@@ -7,20 +7,21 @@ all four schemes, eps-outage capacities, and the general-fading outage
 approximation. `outage` serves every scheme; each per-scheme outage
 function rejects a scenario of another scheme. A method is a
 CapacityMethod or its value, such as "exact"; any other is a ValueError.
-Each (scenario, method) has its tables built once, in bounded lru caches
-keyed on the scenario's hash, which it computes once: the step plateaus
-with the link-count cdf, and the static mixture's evaluator, on which
-static eps-capacity runs one Brent search per eps. The outages at the
-ends of its bracket are cached with the bracket, and Brent, which
-starts at both ends, reads them instead of evaluating them again.
+Each (scenario, method) has its curve built once, in one bounded lru
+cache keyed on the scenario's hash, which it computes once: its outage
+and eps-capacity functions, the only code that tells the schemes apart.
+Step schemes read their plateaus and the link-count cdf; static outage
+is the mixture's evaluator, on which static eps-capacity runs one Brent
+search per eps, reading the outages at its bracket's ends, evaluated on
+the first eps call.
 
 Capacities take a whole number or an array of link counts, outage and
 eps-capacity a float or an array of rates (or eps); each returns a float
 or an array of the same shape, by one code path: the input is converted
-to a float array once (specfun._floats) and checked with one reduction.
-A NaN or negative rate raises ValueError; a rate too large for 2^R is an
-outage. Outage is Pr(C < R): a rate on a capacity plateau is not an
-outage.
+to a float array once (specfun._floats) and checked with one reduction
+(eps with a min and a max). A NaN or negative rate, and an eps outside
+[0, 1), raise ValueError; a rate too large for 2^R is an outage.
+Outage is Pr(C < R): a rate on a capacity plateau is not an outage.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from scipy import optimize, special
 
 from .hankel import _cdf_grid
 from .model import Scenario, Scheme, _capacity, _characteristic
-from .specfun import (_amplitude, _first_bad, _floats, _like, _nonnegatives, cal_e,
-                      cal_e_inverse, marcum_q1, quantile, whole_number, whole_numbers)
+from .specfun import (_amplitude, _eps_values, _first_bad, _floats, _like, _nonnegatives,
+                      cal_e, cal_e_inverse, marcum_q1, whole_number, whole_numbers)
 
 __all__ = [
     "CapacityMethod",
@@ -70,6 +71,9 @@ class CapacityMethod(enum.Enum):
 
     EXACT_HANKEL = "exact"
     APPROX_EI = "approx"
+
+
+_APPROX = CapacityMethod.APPROX_EI  # a global reads faster than an enum member
 
 
 # Capacity rule: Gauss-Legendre of order _K1_ORDER on panels a quarter
@@ -165,29 +169,50 @@ def _require(scenario: Scenario, *schemes: Scheme) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _step_table(scenario: Scenario,
-                method: CapacityMethod) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only plateaus C(0), ..., C(N) of a step scheme, increasing in
-    the link count, and the link-count cdf with a leading 0. The plateaus
-    are the ergodic capacities under (quantized) hopping, or
-    log2(1 + (a + k)^2) under perfect adjustment, where the k links align
-    with the LOS phasor (the channel montecarlo simulates)."""
-    n, a = scenario.n_elements, scenario.los_amplitude
-    caps = (_capacity(a + np.arange(n + 1), 0.0) if scenario.scheme is Scheme.PERFECT
-            else _capacity_table(n, a, method))
-    cdf0 = np.concatenate(([0.0], scenario.link_count_distribution().cdf))
-    for table in (caps, cdf0):
-        table.setflags(write=False)
-    return caps, cdf0
+def _curve(scenario: Scenario, method: CapacityMethod):
+    """The scenario's outage and eps-capacity, each a function of a checked
+    1-d array of rates or of eps, built once per (scenario, method): the
+    one place that tells the schemes apart.
 
+    A step scheme's outage is Pr(caps[K] < R) over the link-count law K,
+    where the plateaus caps increase in the link count: the ergodic
+    capacities under (quantized) hopping, or log2(1 + (a + k)^2) under
+    perfect adjustment, where the k links align with the LOS phasor (the
+    channel montecarlo simulates). searchsorted counts the link numbers
+    whose capacity lies below each rate, and eps-capacity is the plateau
+    at the law's quantile. Static outage is _static_mixture, and static
+    eps-capacity one Brent search per eps on [_EPS_LO, log2(1 + (a + N)^2)].
+    The outages at the bracket's ends are evaluated on the first eps call
+    and kept; Brent, which starts at both ends, reads them instead of
+    evaluating them again, and an outage-only call never evaluates them.
+    """
+    law, n, a = (scenario.link_count_distribution(), scenario.n_elements,
+                 scenario.los_amplitude)
+    if scenario.scheme is not Scheme.STATIC:
+        caps = (_capacity(a + np.arange(n + 1), 0.0) if scenario.scheme is Scheme.PERFECT
+                else _capacity_table(n, a, method))
+        cdf = law.cdf
+        cdf0 = np.concatenate(([0.0], cdf))
+        return (lambda x: cdf0[caps.searchsorted(x, "left")],
+                lambda e: caps[cdf.searchsorted(e, "right")])  # quantile's rule
+    evaluate, known = _static_mixture(law.pmf, a, method), {}
+    r_max = float(_capacity(a + n, 0.0))
 
-def _step_outage(scenario: Scenario, rate, method=CapacityMethod.APPROX_EI):
-    """Pr(caps[K] < rate) over the link-count law K, for the plateaus caps
-    of _step_table: searchsorted counts the link numbers whose capacity
-    lies below each rate."""
-    caps, cdf0 = _step_table(scenario, method)
-    x, scalar = _nonnegatives(rate, "rate")
-    return _like(cdf0[caps.searchsorted(x, "left")], scalar)
+    def excess(r: float, t: float) -> float:
+        value = known.get(r)
+        return (evaluate(np.array([r]))[0] if value is None else value) - t
+
+    def eps_capacity_of(e: np.ndarray) -> np.ndarray:
+        if not known:  # one update, so another thread sees both ends or none
+            top, bottom = evaluate(np.array([r_max, _EPS_LO]))
+            known.update({r_max: top, _EPS_LO: bottom})
+        top, bottom = known[r_max], known[_EPS_LO]
+        out = np.where(top <= e, r_max, 0.0)
+        inside = (top > e) & (bottom <= e)
+        out[inside] = [optimize.brentq(excess, _EPS_LO, r_max, (t,), xtol=1e-10)
+                       for t in e[inside]]
+        return out
+    return evaluate, eps_capacity_of
 
 
 def outage(scenario: Scenario, rate,
@@ -195,12 +220,8 @@ def outage(scenario: Scenario, rate,
     """Outage probability Pr(C < R) at each rate under the scenario's
     scheme: outage_hopping for hopping and quantized, outage_static for
     static and outage_perfect for perfect, whose plateaus need no method."""
-    method = CapacityMethod(method)
-    if scenario.scheme is Scheme.STATIC:
-        return outage_static(scenario, rate, method)
-    if scenario.scheme is Scheme.PERFECT:
-        return outage_perfect(scenario, rate)
-    return outage_hopping(scenario, rate, method)
+    x, scalar = _nonnegatives(rate, "rate")
+    return _like(_curve(scenario, CapacityMethod(method))[0](x), scalar)
 
 
 def outage_hopping(
@@ -214,40 +235,17 @@ def outage_hopping(
     continuous-phase value (large-N asymptotic).
     """
     _require(scenario, Scheme.HOPPING, Scheme.QUANTIZED)
-    return _step_outage(scenario, rate, CapacityMethod(method))
+    x, scalar = _nonnegatives(rate, "rate")
+    return _like(_curve(scenario, CapacityMethod(method))[0](x), scalar)
 
 
 def eps_capacity(
     scenario: Scenario, eps, method: CapacityMethod = CapacityMethod.APPROX_EI
 ):
-    """eps-outage capacity at each eps: the largest rate whose outage does
-    not exceed eps."""
-    method = CapacityMethod(method)
-    e, scalar = _floats(eps)
-    k = quantile(scenario.link_count_distribution(), e)
-    if scenario.scheme is not Scheme.STATIC:
-        return _like(_step_table(scenario, method)[0][k], scalar)
-    # static: invert the continuous outage curve, one root search per eps
-    evaluate = _static_mixture(scenario, method)
-    r_max, top, bottom = _static_bracket(scenario, method)
-    known = {_EPS_LO: bottom, r_max: top}  # Brent evaluates both ends first
-
-    def excess(r: float, t: float) -> float:
-        value = known.get(r)
-        return (evaluate(np.array([r]))[0] if value is None else value) - t
-    out = np.where(top <= e, r_max, 0.0)
-    inside = (top > e) & (bottom <= e)
-    out[inside] = [optimize.brentq(excess, _EPS_LO, r_max, (t,), xtol=1e-10)
-                   for t in e[inside]]
-    return _like(out, scalar)
-
-
-@functools.lru_cache(maxsize=64)
-def _static_bracket(scenario: Scenario, method: CapacityMethod) -> tuple[float, ...]:
-    """The top rate log2(1 + (a + N)^2) of the static eps bracket, and the
-    outage there and at _EPS_LO."""
-    r_max = float(_capacity(scenario.los_amplitude + scenario.n_elements, 0.0))
-    return r_max, *_static_mixture(scenario, method)(np.array([r_max, _EPS_LO]))
+    """eps-outage capacity at each eps in [0, 1): the largest rate whose
+    outage does not exceed eps."""
+    e, scalar = _eps_values(eps)
+    return _like(_curve(scenario, CapacityMethod(method))[1](e), scalar)
 
 
 def _static_fixed(links: np.ndarray, a: float, mode: CapacityMethod):
@@ -297,15 +295,13 @@ def outage_static(
     """
     _require(scenario, Scheme.STATIC)
     x, scalar = _nonnegatives(rate, "rate")
-    return _like(_static_mixture(scenario, CapacityMethod(mode))(x), scalar)
+    return _like(_curve(scenario, CapacityMethod(mode))[0](x), scalar)
 
 
-@functools.lru_cache(maxsize=64)
-def _static_mixture(scenario: Scenario, mode: CapacityMethod):
-    """outage_static as a function of a checked rate array, with the link
-    counts of positive weight, their weights and the LOS-only step
-    log2(1 + a^2) taken from the law once."""
-    pmf, a = scenario.link_count_distribution().pmf, scenario.los_amplitude
+def _static_mixture(pmf: np.ndarray, a: float, mode: CapacityMethod):
+    """outage_static as a function of a checked rate array, for the
+    link-count pmf and LOS amplitude a, with the link counts of positive
+    weight, their weights and the LOS-only step log2(1 + a^2) taken once."""
     weighted = np.flatnonzero(pmf)
     links, weights, los_cap = weighted[weighted > 0], pmf[weighted], _capacity(a, 0.0)
     fixed_outage = _static_fixed(links, a, mode)
@@ -325,7 +321,8 @@ def outage_perfect(scenario: Scenario, rate):
     the capacities log2(1 + (a + k)^2) of k links aligned with the LOS
     phasor, with the same strict convention as outage_hopping."""
     _require(scenario, Scheme.PERFECT)
-    return _step_outage(scenario, rate)
+    x, scalar = _nonnegatives(rate, "rate")
+    return _like(_curve(scenario, _APPROX)[0](x), scalar)
 
 
 @dataclass(frozen=True)
@@ -375,5 +372,7 @@ def outage_general_fading(rate, sigma2_cdf: EmpiricalCdf):
 
 
 def min_outage(scenario: Scenario) -> float:
-    """Smallest attainable hopping outage: probability that no link exists."""
-    return float(np.prod(1.0 - scenario.prob_vector))
+    """Smallest attainable outage, its limit as R -> 0+ under every scheme:
+    the probability that no link exists when a = 0, and 0 when a > 0, since
+    the LOS channel alone then carries every rate below log2(1 + a^2)."""
+    return 0.0 if scenario.los_amplitude else float(np.prod(1.0 - scenario.prob_vector))

@@ -137,6 +137,16 @@ def _nonnegatives(values, name: str) -> tuple[np.ndarray, bool]:
     return x, scalar
 
 
+def _eps_values(values) -> tuple[np.ndarray, bool]:
+    """_floats(values) for outage levels eps; entries outside [0, 1), NaN
+    among them, raise ValueError, found by one min and one max."""
+    x, scalar = _floats(values)
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) < 1.0):
+        raise ValueError(
+            f"eps must be in [0, 1), got {_first_bad(values, (x >= 0.0) & (x < 1.0))}")
+    return x, scalar
+
+
 def _amplitude(a, name: str) -> float:
     """a as a float; ValueError unless it is one finite number >= 0."""
     if not (is_real(a) and 0.0 <= a < np.inf):
@@ -248,9 +258,6 @@ def poisson_binomial(p_vec) -> DiscreteDistribution:
 def quantile(dist: DiscreteDistribution, eps):
     """Smallest k with cdf[k] > eps (strict, matching the outage convention),
     for each eps: an int for a scalar eps, else an integer array."""
-    e = np.asarray(eps, dtype=float)
-    if not (e.min(initial=0.0) >= 0.0 and e.max(initial=0.0) < 1.0):  # NaN fails
-        ok = (e >= 0.0) & (e < 1.0)
-        raise ValueError(f"eps must be in [0, 1), got {_first_bad(eps, ok)}")
+    e, scalar = _eps_values(eps)
     k = dist.cdf.searchsorted(e, side="right")
-    return int(k) if e.ndim == 0 else k
+    return int(k[0]) if scalar else k

@@ -256,6 +256,18 @@ def _static_eps_reference(sc, eps, method):
     return out
 
 
+def _recorded_rates(monkeypatch) -> list:
+    """The rates at which the static mixture evaluates its outage from now
+    on, in order: each evaluation takes 2^R - 1 of its rates once."""
+    snr, rates = analytic._snr, []
+
+    def recorded(r):
+        rates.extend(r.tolist())
+        return snr(r)
+    monkeypatch.setattr(analytic, "_snr", recorded)
+    return rates
+
+
 class TestEpsCapacity:
     @pytest.mark.parametrize("sc, method", [
         (Scenario(20, 0.5, scheme=Scheme.STATIC), APPROX),
@@ -271,27 +283,35 @@ class TestEpsCapacity:
         assert [eps_capacity(sc, float(e), method) for e in eps] == ref.tolist()
 
     def test_bracket_ends_not_evaluated_again(self, monkeypatch):
-        # the outages at _EPS_LO and r_max come from _static_bracket; Brent
-        # used to evaluate both again at the start of every search
+        # the outages at r_max and _EPS_LO are evaluated once per scenario,
+        # on its first eps call; Brent, which starts at both ends, used to
+        # evaluate both again at the start of every search
+        analytic._curve.cache_clear()
+        rates = _recorded_rates(monkeypatch)
         sc = Scenario(20, 0.5, scheme=Scheme.STATIC)
-        r_max, _, _ = analytic._static_bracket(sc, APPROX)
-        evaluate, rates = analytic._static_mixture(sc, APPROX), []
-
-        def recorded(r):
-            rates.extend(r.tolist())
-            return evaluate(r)
-        monkeypatch.setattr(analytic, "_static_mixture", lambda *_: recorded)
+        r_max = float(np.log2(1.0 + 20.0 ** 2))
         eps_capacity(sc, np.array([1e-6, 1e-3, 0.1]))
-        assert len(rates) >= 3
-        assert analytic._EPS_LO not in rates and r_max not in rates
+        eps_capacity(sc, 0.2)
+        assert len(rates) >= 2 + 4  # the ends, then Brent's steps for 4 eps
+        assert rates[:2] == [r_max, analytic._EPS_LO]
+        assert rates.count(r_max) == rates.count(analytic._EPS_LO) == 1
 
-    @pytest.mark.parametrize("scheme, table", [
-        (Scheme.STATIC, analytic._static_mixture), (Scheme.HOPPING, analytic._step_table)])
-    def test_tables_cached_per_scenario_and_method(self, scheme, table):
+    @pytest.mark.parametrize("method", [APPROX, EXACT])
+    def test_outage_evaluates_only_its_rates(self, monkeypatch, method):
+        # a fresh curve's bracket ends wait for the first eps call
+        analytic._curve.cache_clear()
+        rates = _recorded_rates(monkeypatch)
+        sc = Scenario(20, 0.5, scheme=Scheme.STATIC)
+        outage_static(sc, np.array([0.5, 1.5]), method)
+        outage(sc, 2.0, method)
+        assert rates == [0.5, 1.5, 2.0]
+
+    @pytest.mark.parametrize("scheme", [Scheme.STATIC, Scheme.HOPPING])
+    def test_curve_cached_per_scenario_and_method(self, scheme):
         one, other = Scenario(12, 0.4, scheme=scheme), Scenario(12, 0.4, scheme=scheme)
         assert one is not other
-        assert table(one, APPROX) is table(other, APPROX)
-        assert table(one, APPROX) is not table(one, EXACT)
+        assert analytic._curve(one, APPROX) is analytic._curve(other, APPROX)
+        assert analytic._curve(one, APPROX) is not analytic._curve(one, EXACT)
 
     def test_hopping_value(self):
         assert eps_capacity(HOP20, 1e-5) == pytest.approx(0.8603, abs=1e-3)
@@ -617,15 +637,13 @@ class TestInputForms:
     @pytest.mark.parametrize("call", list(CALLS))
     def test_bad_numbers_named(self, call):
         # one number and a 2-d array (a 1-d one is TestBadArrayMessages'
-        # case); eps_capacity hands quantile its eps as a 1-d array, so one
-        # number is named as entry 0 too
+        # case); eps_capacity used to name one number as entry 0
         f, name = self.CALLS[call], self._name(call)
-        alone = " at index 0" if call.startswith("eps") else ""
         for bad, shown in ((np.nan, "nan"), (-1.0, "-1.0"), (-np.inf, "-inf")):
             if call == "EmpiricalCdf" and bad < 0:
                 assert f(bad) == 0.0  # any real x has a cdf value
                 continue
-            with pytest.raises(ValueError, match=f"^{name}, got {shown}{alone}$"):
+            with pytest.raises(ValueError, match=f"^{name}, got {shown}$"):
                 f(bad)
             with pytest.raises(ValueError, match=f"^{name}, got {shown} at index \\(1, 0\\)$"):
                 f(np.array([[0.5, 0.25], [bad, 0.5]]))
@@ -709,6 +727,20 @@ class TestMinOutage:
         assert min_outage(HOP20) == pytest.approx(9.5367431640625e-7, rel=1e-14)
         assert min_outage(Scenario(20, 0.1)) == pytest.approx(0.1216, abs=5e-4)
         assert min_outage(Scenario(13, 1.0)) == 0.0
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_los_carries_small_rates(self, scheme):
+        # the limit of outage as R -> 0+: with LOS, no link still leaves
+        # log2(1 + a^2) bits; it used to give Pr(no link) = 9.54e-7. The
+        # step schemes reach it below their first plateau, static outage
+        # (2.7e-11 at 1e-9 bits with LOS) in the limit
+        sc = Scenario(20, 0.5, 3.0, scheme, 2 if scheme is Scheme.QUANTIZED else None)
+        nlos = Scenario(20, 0.5, 0.0, scheme, sc.quant_levels)
+        assert min_outage(sc) == 0.0 and min_outage(nlos) == 0.5 ** 20
+        for limit in (sc, nlos):
+            assert 0.0 <= outage(limit, 1e-9) - min_outage(limit) < 1e-10
+            if scheme is not Scheme.STATIC:
+                assert outage(limit, 1e-9) == min_outage(limit)
 
 
 class TestEmpiricalCdf:
