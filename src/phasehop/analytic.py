@@ -74,6 +74,17 @@ class CapacityMethod(enum.Enum):
 
 
 _APPROX = CapacityMethod.APPROX_EI  # a global reads faster than an enum member
+# the schemes each per-scheme function serves, held so that a call reads
+# no enum member
+_STEP_HOPPING = (Scheme.HOPPING, Scheme.QUANTIZED)
+_STATIC = (Scheme.STATIC,)
+_PERFECT = (Scheme.PERFECT,)
+
+
+def _method(method) -> CapacityMethod:
+    """method as a CapacityMethod: a member as it is, which skips the enum
+    lookup, anything else by value (ValueError unless it is one)."""
+    return method if type(method) is CapacityMethod else CapacityMethod(method)
 
 
 # Capacity rule: Gauss-Legendre of order _K1_ORDER on panels a quarter
@@ -135,7 +146,7 @@ def _capacities(n_avail, a: float, method: CapacityMethod):
     """C(k, a) for each whole link count k in n_avail, from the table up
     to the largest."""
     k = whole_numbers(n_avail, 0, "n_avail")
-    table = _capacity_table(int(k.max(initial=0)), float(a), CapacityMethod(method))
+    table = _capacity_table(int(k.max(initial=0)), float(a), _method(method))
     return float(table[k]) if k.ndim == 0 else table[k]
 
 
@@ -161,7 +172,7 @@ def _snr(rates: np.ndarray) -> np.ndarray:
         return np.power(2.0, rates) - 1.0
 
 
-def _require(scenario: Scenario, *schemes: Scheme) -> None:
+def _require(scenario: Scenario, schemes: tuple[Scheme, ...]) -> None:
     """ValueError unless the scenario's scheme is one of schemes."""
     if scenario.scheme not in schemes:
         names = " or ".join(s.value for s in schemes)
@@ -221,7 +232,7 @@ def outage(scenario: Scenario, rate,
     scheme: outage_hopping for hopping and quantized, outage_static for
     static and outage_perfect for perfect, whose plateaus need no method."""
     x, scalar = _nonnegatives(rate, "rate")
-    return _like(_curve(scenario, CapacityMethod(method))[0](x), scalar)
+    return _like(_curve(scenario, _method(method))[0](x), scalar)
 
 
 def outage_hopping(
@@ -234,9 +245,9 @@ def outage_hopping(
     equal to a capacity plateau is not an outage. Quantized hopping uses the
     continuous-phase value (large-N asymptotic).
     """
-    _require(scenario, Scheme.HOPPING, Scheme.QUANTIZED)
+    _require(scenario, _STEP_HOPPING)
     x, scalar = _nonnegatives(rate, "rate")
-    return _like(_curve(scenario, CapacityMethod(method))[0](x), scalar)
+    return _like(_curve(scenario, _method(method))[0](x), scalar)
 
 
 def eps_capacity(
@@ -245,7 +256,7 @@ def eps_capacity(
     """eps-outage capacity at each eps in [0, 1): the largest rate whose
     outage does not exceed eps."""
     e, scalar = _eps_values(eps)
-    return _like(_curve(scenario, CapacityMethod(method))[1](e), scalar)
+    return _like(_curve(scenario, _method(method))[1](e), scalar)
 
 
 def _static_fixed(links: np.ndarray, a: float, mode: CapacityMethod):
@@ -259,7 +270,12 @@ def _static_fixed(links: np.ndarray, a: float, mode: CapacityMethod):
     if a == 0.0:
         return lambda snr: -np.expm1(-snr[..., None] / links)
     los = np.sqrt(2.0 * a * a / links)
-    return lambda snr: 1.0 - marcum_q1(los, np.sqrt(2.0 * snr[..., None] / links))
+
+    def fixed(snr):
+        with np.errstate(over="ignore"):  # inf from R = 1023 up: an outage
+            tail = np.sqrt(2.0 * snr[..., None] / links)
+        return 1.0 - marcum_q1(los, tail)
+    return fixed
 
 
 def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
@@ -273,7 +289,7 @@ def outage_static_fixed(n_avail: int, rate, a: float, mode: CapacityMethod):
     """
     links = np.array([whole_number(n_avail, 1, "n_avail")])
     x, scalar = _nonnegatives(rate, "rate")
-    fixed = _static_fixed(links, _amplitude(a, "a"), CapacityMethod(mode))
+    fixed = _static_fixed(links, _amplitude(a, "a"), _method(mode))
     return _like(fixed(_snr(x))[..., 0], scalar)
 
 
@@ -293,9 +309,9 @@ def outage_static(
     rate gives the same bits alone or in any array. A row whose every term
     is 1 is exactly 1.
     """
-    _require(scenario, Scheme.STATIC)
+    _require(scenario, _STATIC)
     x, scalar = _nonnegatives(rate, "rate")
-    return _like(_curve(scenario, CapacityMethod(mode))[0](x), scalar)
+    return _like(_curve(scenario, _method(mode))[0](x), scalar)
 
 
 def _static_mixture(pmf: np.ndarray, a: float, mode: CapacityMethod):
@@ -320,7 +336,7 @@ def outage_perfect(scenario: Scenario, rate):
     """Outage at each rate with perfect phase adjustment: a step mixture at
     the capacities log2(1 + (a + k)^2) of k links aligned with the LOS
     phasor, with the same strict convention as outage_hopping."""
-    _require(scenario, Scheme.PERFECT)
+    _require(scenario, _PERFECT)
     x, scalar = _nonnegatives(rate, "rate")
     return _like(_curve(scenario, _APPROX)[0](x), scalar)
 

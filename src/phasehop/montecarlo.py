@@ -2,24 +2,31 @@
 
 Slow samples come in blocks of 256 rows, and block b draws from the Philox
 stream keyed by (seed, b), in this order: the link states avail (m x n
-uniforms compared with the link probabilities), then the channel phases
-phi (m x n, uniform on [0, 2*pi)), then the LOS phase u (m uniforms, drawn
-at a = 0 too). `_block` alone knows this layout. Perfect stops after the
-link states: its capacity reads only the link counts n_avail. The other
-schemes pass the drawn arrays to their evaluator, which returns one
-capacity per row: `_static_capacities(phi, avail, n_avail, los)` for
-static, with los = a*exp(2j*pi*u) the LOS phasors, and the fast loop
-`_fast_means(phi, avail, los, rng, quant_levels, symbols)` for hopping and
-quantized, which draws the surface phases of each row in turn from the
-block's generator rng, after the slow draws.
+uniforms compared with the link probabilities), then one unit phasor
+c + js per active link, row-major (row 0's links, then row 1's, ...), by
+`_unit_phasors`, then the LOS phase u (m uniforms, drawn at a = 0 too).
+`_block` alone knows this layout. Perfect stops after the link states:
+its capacity reads only the link counts n_avail. The other schemes pass
+the drawn arrays to their evaluator, which returns one capacity per row:
+`_static_capacities(c, s, n_avail, los)` for static, with
+los = a*exp(2j*pi*u) the LOS phasors, and the fast loop
+`_fast_means(c, s, n_avail, los, rng, quant_levels, symbols)` for hopping
+and quantized, which draws the surface phases of each row in turn from
+the block's generator rng, after the slow draws.
 Results are therefore bit-identical for any number of workers, which are
 threads over blocks; with one block or one worker the blocks run in the
-calling thread. Static is evaluated a whole block at a time: cos and sin
-are taken once over the block's active phases, row-major, and each row's
-phasors are summed as one segment of a single reduceat. That order of
-summation is not `symbol_capacity`'s, so a row of k >= 3 links is
-within a rounding bound of it (k^2 * eps on each part of h) rather than
-bit for bit.
+calling thread.
+
+The link phasors are drawn without trig (von Neumann, "Various techniques
+used in connection with random digits", 1951): a point uniform in the
+unit disk at angle t maps to the unit phasor at angle 2t, uniform on the
+circle, with no cos or sin taken. Static is evaluated a whole block
+at a time in float64: each row's phasors are one segment, and the real
+and the imaginary parts are summed per segment by one reduceat each. That
+order of summation is not a row sum's, so a row of k >= 3 links is within
+a rounding bound of it (k^2 * eps on each part of h) rather than bit for
+bit. The fast loop reads the same draws as link phases, one float64
+arctan2 over the block's phasors, taken to float32.
 
 The fast loop draws its surface phases in float32 from the grid of K
 levels 2*pi*l/K: the quantized scheme's K, or K = 256 for continuous
@@ -45,8 +52,6 @@ uses too. A symbol's capacity stays within 1.2e-6 bits per active link of
 the float64 result on the same phases (tests/test_model.py), and the
 float32 grid step, 2.8e-8 relative off 2*pi/K, moves a fast-loop mean by
 at most 1.3e-7 bits per link; both are far inside the loop's own noise.
-The static path keeps float64: its cos/sin are the floor of its cost, but
-float32 would lose digits of the capacities themselves.
 
 The phases are drawn link-major, k links x symbols, and handed to the
 formula transposed, so its float64 sums over the links run along
@@ -85,6 +90,7 @@ _TWO_PI = 2.0 * np.pi
 _HOPPING_LEVELS = 2**8  # the phase grid of continuous hopping: one byte a phase
 _CHUNK = 2**18  # phases per fast-loop or quantized-sum chunk
 _BLOCK = 256
+_DISK = 2.0**104  # x^2 + y^2 on the unit circle, x and y in units of 2^-52
 
 
 def _checked_seed(seed) -> int:
@@ -192,26 +198,62 @@ def _levels(rng, levels: int, shape, out=None) -> np.ndarray:
                        dtype=np.float32)
 
 
-def _static_capacities(phi: np.ndarray, avail: np.ndarray, n_avail: np.ndarray,
-                       los: np.ndarray) -> np.ndarray:
-    """Capacity of each row's channel los + sum of exp(j*phi) over its
-    available links, the value of symbol_capacity(zeros(k),
-    phi[i, avail[i]][None], los[i]) for each row i with k links, a whole
-    block at a time.
+def _pairs_for(need: int) -> int:
+    """Points to draw so that `need` of them fall in the unit disk, pi/4 of
+    the square, with about 3.4 standard deviations to spare: a second batch
+    is drawn about once in 3,000 calls, for 3% more draws at need = 2,560."""
+    return math.ceil(need * (4.0 / math.pi) + 2.0 * math.sqrt(need) + 8.0)
 
-    phi[avail] is row-major, so each row's active phases are one segment,
-    and cos and sin over them are summed per segment by one reduceat. That
-    sums in another order than symbol_capacity's row sum, so a row of k >= 3
-    links may differ from it by rounding: each part of h by at most
-    k^2 * eps, twice the error bound of any order (Higham, Accuracy and
-    Stability of Numerical Algorithms, 4.2). Rows of at most 2 links keep
-    its bits."""
-    active = phi[avail]
+
+def _unit_phasors(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """count unit phasors c + js of uniform angle, two float64 arrays,
+    drawn from rng without trig (von Neumann, 1951).
+
+    A batch of 2N raw 64-bit words gives N points (x, y), x from the first
+    N words and y from the last N: the top 53 bits of each word read as a
+    signed integer, a 53-bit uniform on [-1, 1) in units of 2^-52, which
+    the map below does not see. Points outside the open unit disk, or at
+    its centre, are rejected, and the first `need` kept points in order are
+    used; a short batch is followed by another for the rest. A kept point
+    at angle t maps to the phasor at angle 2t,
+    ((x^2 - y^2) + 2jxy) / (x^2 + y^2), uniform on the circle. x - y,
+    x + y and 2x are exact, so c and s are each within 2 ulps of 1 of their
+    exact value, and |c + js| within 4 ulps of 1. A zero count draws
+    nothing."""
+    c, s = np.empty(count), np.empty(count)
+    have = 0
+    while have < count:
+        need = count - have
+        xy = rng.bit_generator.random_raw(2 * _pairs_for(need)).view(np.int64)
+        xy >>= 11
+        x, y = xy.astype(float).reshape(2, -1)
+        r2 = x * x + y * y
+        keep = np.flatnonzero((r2 < _DISK) & (r2 > 0.0))[:need]
+        x, y, r2 = x[keep], y[keep], r2[keep]
+        done = have + keep.size
+        np.divide((x - y) * (x + y), r2, out=c[have:done])
+        np.divide((x + x) * y, r2, out=s[have:done])
+        have = done
+    return c, s
+
+
+def _static_capacities(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray,
+                       los: np.ndarray) -> np.ndarray:
+    """Capacity of each row's channel los + sum of its link phasors
+    c + js, a whole block at a time: row i owns the n_avail[i] phasors
+    after those of rows 0..i-1.
+
+    Each row's phasors are one segment, and their real and imaginary
+    parts are summed per segment by one reduceat each. That sums in
+    another order than a row sum, so a row of k >= 3 links may differ from
+    it by rounding: each part of h by at most k^2 * eps, twice the error
+    bound of any order (Higham, Accuracy and Stability of Numerical
+    Algorithms, 4.2). Rows of at most 2 links keep its bits."""
     linked = n_avail > 0  # reduceat would give an empty segment one term
     starts = (np.cumsum(n_avail) - n_avail)[linked]
     re, im = np.zeros(n_avail.size), np.zeros(n_avail.size)
-    re[linked] = np.add.reduceat(np.cos(active), starts)
-    im[linked] = np.add.reduceat(np.sin(active), starts)
+    re[linked] = np.add.reduceat(c, starts)
+    im[linked] = np.add.reduceat(s, starts)
     return _capacity(los.real + re, los.imag + im)
 
 
@@ -225,19 +267,21 @@ def _block(config: McConfig, probs: np.ndarray, b: int):
     n_avail = avail.sum(axis=1)
     if sc.scheme is Scheme.PERFECT:  # reads nothing more of the stream
         return _capacity(sc.los_amplitude + n_avail, 0.0), n_avail
-    phi = rng.random((m, sc.n_elements)) * _TWO_PI
+    c, s = _unit_phasors(rng, int(n_avail.sum()))
     u = rng.random(m)  # drawn at a = 0 too, which keeps the stream in step
     los = (sc.los_amplitude * np.exp(1j * _TWO_PI * u) if sc.los_amplitude
            else np.zeros(m, complex))
     if sc.scheme is Scheme.STATIC:
-        return _static_capacities(phi, avail, n_avail, los), n_avail
-    return _fast_means(phi, avail, los, rng, sc.quant_levels, config.fast_samples), n_avail
+        return _static_capacities(c, s, n_avail, los), n_avail
+    return (_fast_means(c, s, n_avail, los, rng, sc.quant_levels, config.fast_samples),
+            n_avail)
 
 
-def _fast_means(phi: np.ndarray, avail: np.ndarray, los: np.ndarray, rng,
-                quant_levels: int | None, symbols: int) -> np.ndarray:
-    """Mean capacity of each row over `symbols` symbols: its active link
-    phases phi[i, avail[i]] and LOS phasor los[i] stay fixed, and its
+def _fast_means(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray, los: np.ndarray,
+                rng, quant_levels: int | None, symbols: int) -> np.ndarray:
+    """Mean capacity of each row over `symbols` symbols: its link phasors
+    (laid out as for _static_capacities), taken to float32 phases by one
+    arctan2 over the block, and its LOS phasor los[i] stay fixed, and its
     surface phases are drawn from rng on the grid of quant_levels levels
     (256 for continuous hopping, quant_levels None), row after row and a
     chunk at a time, into two float32 work arrays held for the block. A
@@ -245,11 +289,14 @@ def _fast_means(phi: np.ndarray, avail: np.ndarray, los: np.ndarray, rng,
     transposed, so that its float64 sums over the links run along
     contiguous memory."""
     levels = quant_levels or _HOPPING_LEVELS
-    work = [np.empty(max(_CHUNK, phi.shape[1]), np.float32) for _ in range(2)]
+    phase = np.arctan2(s, c).astype(np.float32)[:, None]
+    work = [np.empty(max(_CHUNK, int(n_avail.max(initial=0))), np.float32)
+            for _ in range(2)]
     means = np.empty(los.size)
-    for i, (row, active) in enumerate(zip(phi, avail)):
-        link = row[active].astype(np.float32)[:, None]
-        k, rows, total = link.shape[0], _chunk_rows(link.shape[0]), 0.0
+    stop = 0
+    for i, k in enumerate(n_avail.tolist()):
+        link, stop = phase[stop : stop + k], stop + k
+        rows, total = _chunk_rows(k), 0.0
         for start in range(0, symbols, rows):
             m = min(rows, symbols - start)
             ang, cos = (w[: k * m].reshape(k, m) for w in work)

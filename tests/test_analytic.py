@@ -376,6 +376,16 @@ class TestMethodArgument:
         with pytest.raises(ValueError, match="'bogus' is not a valid CapacityMethod"):
             call("bogus")
 
+    def test_member_passed_through(self):
+        # a member skips the enum lookup; a value still goes through it
+        for m in CapacityMethod:
+            assert analytic._method(m) is m and analytic._method(m.value) is m
+        for bad in ("bogus", None, 0):
+            with pytest.raises(ValueError) as direct:
+                CapacityMethod(bad)
+            with pytest.raises(ValueError, match=f"^{direct.value}$"):
+                analytic._method(bad)
+
 
 class TestOutageStaticFixed:
     def test_single_link_step(self):
@@ -564,6 +574,20 @@ class TestRateArguments:
         for huge in (2000.0, np.inf):
             assert outage(sc, huge) == 1.0
         np.testing.assert_array_equal(outage(sc, np.array([1e3, 2e3, np.inf])), 1.0)
+
+    def test_los_static_overflow_band(self):
+        # 2^R - 1 is finite below R = 1024, but twice it is not from R = 1023
+        # up: the LOS Marcum-Q argument overflowed with a RuntimeWarning
+        sc = Scenario(10, 0.5, 3.0, Scheme.STATIC)
+        rates = np.array([1023.0, 1023.5, np.nextafter(1024.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outage_static(sc, 1023.5) == 1.0
+            np.testing.assert_array_equal(outage_static(sc, rates), 1.0)
+            for links in (1, 3):
+                assert outage_static_fixed(links, 1023.5, 3.0, "approx") == 1.0
+                np.testing.assert_array_equal(
+                    outage_static_fixed(links, rates, 3.0, APPROX), 1.0)
 
     def test_shapes(self):
         rates = np.linspace(0.0, 5.0, 12).reshape(3, 4)

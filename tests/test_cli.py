@@ -89,6 +89,12 @@ class TestOutage:
         else:
             assert (code, out.strip(), err) == (0, want, "")
 
+    def test_los_static_near_overflow(self, capsys):
+        # R in [1023, 1024) printed an overflow RuntimeWarning before its 1.0
+        code, out, err = run_cli(capsys, "outage", "--n", "10", "--p", "0.5", "--a", "3",
+                                 "--scheme", "static", "--rate", "1023.5")
+        assert (code, out.strip(), err) == (0, "1.00000e+00", "")
+
     def test_perfect_with_los(self, capsys):
         # k links aligned with the LOS phasor; a > 0 was an error
         code, out, err = run_cli(capsys, "outage", "--n", "20", "--p", "0.5",

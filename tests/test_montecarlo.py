@@ -1,18 +1,24 @@
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from phasehop.analytic import outage_hopping, outage_static, CapacityMethod
-from phasehop.model import Scenario, Scheme, symbol_capacity
+from phasehop import montecarlo
+from phasehop.model import Scenario, Scheme, _capacity, symbol_capacity
 from phasehop.montecarlo import (
+    _BLOCK,
     _HOPPING_LEVELS,
     _chunk_rows,
     _fast_means,
     _levels,
+    _pairs_for,
     _static_capacities,
+    _stream,
+    _unit_phasors,
     McConfig,
     McResult,
     quantized_sum_moments,
@@ -80,6 +86,41 @@ class TestDeterminism:
             res = run(cfg, workers=workers)
             np.testing.assert_array_equal(res.per_slow_capacity, ref.per_slow_capacity)
             np.testing.assert_array_equal(res.n_avail, ref.n_avail)
+
+    @pytest.mark.parametrize("seed", [0, 2**40 + 7, 2**64 - 2])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_worker_sweep(self, scheme, seed):
+        # 4 schemes x 3 seeds x workers 1, 2 and 4: 36 runs of three blocks,
+        # the last one short, whose phasor draws end wherever their
+        # rejections fall
+        k = 3 if scheme is Scheme.QUANTIZED else None
+        sc = Scenario(12, 0.6, 0.8, scheme, quant_levels=k)
+        cfg = McConfig(sc, 2 * 256 + 11, 40, seed=seed)
+        ref = run(cfg, workers=1)
+        for workers in (2, 4):
+            res = run(cfg, workers=workers)
+            np.testing.assert_array_equal(res.per_slow_capacity, ref.per_slow_capacity)
+            np.testing.assert_array_equal(res.n_avail, ref.n_avail)
+
+    @pytest.mark.parametrize("a", [0.0, 0.8])
+    def test_block_layout(self, a):
+        # each block's stream holds the link states, then one phasor per
+        # active link, row-major, then the LOS phases: rebuilt from twin
+        # streams, the static capacities come back bit for bit
+        sc = Scenario(9, (0.1, 0.3, 0.5, 0.7, 0.9, 0.5, 0.5, 0.2, 1.0), a, Scheme.STATIC)
+        slow = 2 * _BLOCK + 30
+        res = run(McConfig(sc, slow, 1, seed=2**63 + 5))
+        caps, links = [], []
+        for b in range(3):
+            twin = _stream(2**63 + 5, b)
+            n_avail = (twin.random((min(_BLOCK, slow - b * _BLOCK), 9))
+                       < sc.prob_vector).sum(axis=1)
+            c, s = _unit_phasors(twin, int(n_avail.sum()))
+            los = a * np.exp(2j * np.pi * twin.random(n_avail.size))
+            caps.append(_static_capacities(c, s, n_avail, los))
+            links.append(n_avail)
+        np.testing.assert_array_equal(res.per_slow_capacity, np.concatenate(caps))
+        np.testing.assert_array_equal(res.n_avail, np.concatenate(links))
 
     @pytest.mark.parametrize("scheme", [Scheme.HOPPING, Scheme.STATIC])
     def test_top_seeds(self, scheme):
@@ -208,7 +249,7 @@ class TestSchemes:
 
 
 def _static_block(rows, n, a, seed):
-    """Link states, phases and LOS phasors of a block of static slow
+    """Link states, link phases and LOS phasors of a block of static slow
     samples, with row link counts spread over 0..n."""
     rng = np.random.default_rng(seed)
     avail = rng.random((rows, n)) < rng.random((rows, 1))
@@ -228,16 +269,21 @@ class TestStaticCapacities:
             avail[:] = links > 0
         elif rows > 1:  # no link and every link, next to the rest
             avail[0], avail[-1] = False, True
-            if links == "empty tail":  # the last rows add nothing to phi[avail]
+            if links == "empty tail":  # the last rows add no phasor
                 avail[1], avail[-3:] = True, False
         n_avail = avail.sum(axis=1)
         # long rows too: at n = 300, past numpy's 128-term pairwise block
         assert links in (0, n) or rows == 1 or (
             n_avail.min() == 0 and n_avail.max() == n
             and np.sum(n_avail > min(n // 2, 128)) > 1)
-        caps = _static_capacities(phi, avail, n_avail, los)
-        ref = np.concatenate([symbol_capacity(np.zeros(k), phi[i, avail[i]][None], los[i])
-                              for i, k in enumerate(n_avail)])
+        c, s = np.cos(phi[avail]), np.sin(phi[avail])  # row-major
+        caps = _static_capacities(c, s, n_avail, los)
+        # the reference is symbol_capacity's formula: each row's phasors
+        # summed on their own in float64, then model._capacity
+        stops = np.cumsum(n_avail)
+        re, im = (np.array([part[stop - k : stop].sum() for stop, k in zip(stops, n_avail)])
+                  for part in (c, s))
+        ref = _capacity(los.real + re, los.imag + im)
         few = n_avail <= 2  # one addition at most: every order has the same bits
         np.testing.assert_array_equal(caps[few], ref[few])
         # two orders of summing k terms of size <= 1 differ by at most
@@ -248,6 +294,66 @@ class TestStaticCapacities:
         bound = ((2.0 * np.sqrt(2.0) * h * delta + 2.0 * delta**2)
                  / ((1.0 + h * h) * np.log(2.0)) + 4.0 * np.spacing(ref))
         assert np.all(np.abs(caps[~few] - ref) <= bound)
+
+
+class TestUnitPhasors:
+    @staticmethod
+    def _rng(*key):
+        return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+    def test_unit_modulus(self):
+        c, s = _unit_phasors(self._rng(1, 2), 2**20)
+        assert c.dtype == s.dtype == np.float64
+        assert np.max(np.abs(np.hypot(c, s) - 1.0)) <= 4 * np.spacing(1.0)
+
+    def test_exact_map_of_the_first_kept_points(self):
+        # x from the first half of a batch of words, y from the second,
+        # each the top 53 bits of a word as a signed integer; points in the
+        # open disk of radius 2^52 are kept in order. c and s are each
+        # within 2 ulps of their exact rational value
+        count = 300
+        c, s = _unit_phasors(self._rng(3, 4), count)
+        words = self._rng(3, 4).bit_generator.random_raw(2 * _pairs_for(count))
+        x, y = (words.view(np.int64) >> 11).reshape(2, -1).tolist()
+        kept = [(u, v) for u, v in zip(x, y) if 0 < u * u + v * v < 2**104][:count]
+        assert len(kept) == count
+        exact_c = [Fraction(u * u - v * v, u * u + v * v) for u, v in kept]
+        exact_s = [Fraction(2 * u * v, u * u + v * v) for u, v in kept]
+        ulp = Fraction(np.spacing(1.0))
+        for got, exact in ((c, exact_c), (s, exact_s)):
+            assert max(abs(Fraction(g) - e) for g, e in zip(got.tolist(), exact)) <= 2 * ulp
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000, 2560])
+    def test_count(self, count):
+        c, s = _unit_phasors(self._rng(count, 0), count)
+        assert c.shape == s.shape == (count,)
+
+    def test_zero_count_draws_nothing(self):
+        rng, twin = self._rng(5, 6), self._rng(5, 6)
+        c, s = _unit_phasors(rng, 0)
+        assert c.shape == s.shape == (0,)
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(9),
+                                      twin.bit_generator.random_raw(9))
+
+    def test_short_batches(self, monkeypatch):
+        # batches of 3 points: most calls need several, and the last one
+        # keeps only what is still missing
+        monkeypatch.setattr(montecarlo, "_pairs_for", lambda need: 3)
+        c, s = _unit_phasors(self._rng(7, 8), 500)
+        assert c.shape == s.shape == (500,)
+        assert np.max(np.abs(np.hypot(c, s) - 1.0)) <= 4 * np.spacing(1.0)
+        monkeypatch.undo()
+        ref = _unit_phasors(self._rng(7, 8), 500)
+        assert not np.array_equal(c, ref[0])
+
+    def test_uniform_angles(self):
+        draws, bins = 2**20, 64
+        c, s = _unit_phasors(self._rng(9, 10), draws)
+        level = np.floor((np.arctan2(s, c) / (2 * np.pi) + 0.5) * bins).astype(int)
+        counts = np.bincount(np.minimum(level, bins - 1), minlength=bins)
+        # Pearson's statistic for a uniform law exceeds this once in 10^6 draws
+        stat = np.sum((counts - draws / bins) ** 2) / (draws / bins)
+        assert counts.size == bins and stat <= chi2.isf(1e-6, bins - 1)
 
 
 class TestFastLoop:
@@ -265,16 +371,19 @@ class TestFastLoop:
     def test_work_arrays_match_symbol_capacity(self, a, levels):
         # one block: every link first, so that the later rows find the
         # work arrays dirty; then no link, one link, and three links, whose
-        # row is three chunks, the last of odd length
+        # row is three chunks, the last of odd length. The link phases are
+        # the arctan2 of the phasors over the block
         n, symbols = 12, 2 * _chunk_rows(3) + 5
         key = np.array([levels, int(10 * a)], dtype=np.uint64)
         rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
-        phi = np.random.default_rng(5).random((4, n)) * 2 * np.pi
-        avail = np.arange(n) < np.array([n, 0, 1, 3])[:, None]
+        n_avail = np.array([n, 0, 1, 3])
+        phi = np.random.default_rng(5).random(n_avail.sum()) * 2 * np.pi
+        c, s = np.cos(phi), np.sin(phi)
         los = a * np.exp(1j * (0.7 + np.arange(4)))
-        means = _fast_means(phi, avail, los, rng, levels, symbols)
-        ref = [self._reference_mean(twin, phi[i, avail[i]], los[i], levels, symbols)
-               for i in range(4)]
+        means = _fast_means(c, s, n_avail, los, rng, levels, symbols)
+        phase, stops = np.arctan2(s, c), np.cumsum(n_avail)
+        ref = [self._reference_mean(twin, phase[stop - k : stop], los[i], levels, symbols)
+               for i, (stop, k) in enumerate(zip(stops, n_avail))]
         np.testing.assert_array_equal(means, ref)
 
     def test_hopping_grid_moments(self):
