@@ -35,7 +35,8 @@ class Scenario:
 
     link_probs is either a scalar p applied to all elements or a length-n
     vector of per-element connection probabilities. los_amplitude = 0
-    encodes the NLOS case. scheme is a Scheme or its value, such as
+    encodes the NLOS case; a + n must stay below about 1.34e154, where the
+    largest channel power (a + n)^2 overflows a float. scheme is a Scheme or its value, such as
     "static". quant_levels is required by the quantized scheme and
     rejected by the others.
     """
@@ -68,8 +69,13 @@ class Scenario:
         if not np.all((probs >= 0) & (probs <= 1)):  # NaN fails both
             raise ValueError(f"connection probabilities must lie in [0, 1], got {p}")
         object.__setattr__(self, "link_probs", p)
-        object.__setattr__(self, "los_amplitude",
-                           _amplitude(self.los_amplitude, "los_amplitude"))
+        a = _amplitude(self.los_amplitude, "los_amplitude")
+        reach = a + self.n_elements
+        if not reach * reach < np.inf:  # a Python float overflows to inf
+            raise ValueError(
+                "los_amplitude + n_elements must be below about 1.34e154, where the "
+                f"largest channel (a + n)^2 overflows a float, got {a!r} + {self.n_elements}")
+        object.__setattr__(self, "los_amplitude", a)
         object.__setattr__(self, "scheme", Scheme(self.scheme))
         if self.scheme is Scheme.QUANTIZED:
             if self.quant_levels is None:

@@ -1,9 +1,13 @@
 """Dataset emission: figure-reproduction tables and CSV/JSON writers.
 
-Each figure id corresponds to one published curve family; build_figure
-evaluates the analytic curves and, where the original plot contains
-simulation markers, the matching Monte-Carlo ECDF, at the original
-parameters unless overridden.
+Each figure id corresponds to one published curve family, and one table,
+_FIGURES, gives its builder and its original parameters. build_figure
+evaluates the analytic curves (every outage column by analytic.outage)
+and, where the original plot contains simulation markers, the matching
+Monte-Carlo ECDF, each run configured from the figure's sample counts and
+seed by _config, at the original parameters unless overridden. A builder
+evaluates its columns in a fixed order, so a bad override always fails
+in the same place.
 """
 from __future__ import annotations
 
@@ -52,40 +56,6 @@ class FigureDataset:
         object.__setattr__(self, "columns", cols)
 
 
-_DEFAULTS = {
-    FigureId.ERG_CAP_COMPARE: {"n_max": 50},
-    FigureId.ERG_CAP_LOS: {"n": 20, "a": 3.0, "slow": 1000, "fast": 5000, "seed": 0},
-    FigureId.OUT_HOPPING_NLOS: {
-        "n": 20, "p_values": (0.1, 0.5, 0.9),
-        "slow": 2000, "fast": 10000, "seed": 0, "points": 500,
-    },
-    FigureId.OUT_HOPPING_LOS: {
-        "n": 20, "a": 3.0, "p_values": (0.0, 0.5, 1.0),
-        "slow": 2000, "fast": 10000, "seed": 0, "points": 500,
-    },
-    FigureId.EPS_CAP_NLOS: {
-        "n": 20, "p_values": (0.1, 0.5, 0.9),
-        "eps_min": 1e-9, "eps_max": 1e-1, "points": 500,
-    },
-    FigureId.OUT_QUANTIZED: {
-        "n": 20, "p": 0.5, "k": 2, "slow": 2000, "fast": 10000,
-        "seed": 0, "points": 500,
-    },
-    FigureId.QUANTIZED_SWEEP_K2: {
-        "n_values": (16, 64), "p": 0.5, "k": 2,
-        "slow": 500, "fast": 20000, "seed": 0, "points": 500,
-    },
-    FigureId.STATIC_NLOS: {
-        "n": 20, "p_values": (0.1, 0.5, 0.9), "samples": 10**6,
-        "seed": 0, "points": 500,
-    },
-    FigureId.SCHEME_COMPARISON: {"n": 20, "p": 0.5, "points": 500},
-    FigureId.COSINE_HISTOGRAM: {
-        "n_values": (4, 50), "k": 4, "samples": 10**6, "seed": 0, "bins": 80,
-    },
-}
-
-
 def _rate_grid(n: int, points: int) -> np.ndarray:
     top = analytic.erg_capacity_nlos(n, CapacityMethod.APPROX_EI) + 1.0
     return np.linspace(0.0, top, points)
@@ -94,12 +64,12 @@ def _rate_grid(n: int, points: int) -> np.ndarray:
 def build_figure(figure_id: FigureId, overrides: dict | None = None) -> FigureDataset:
     """Evaluate one figure's dataset at its original defaults, with the
     given parameter overrides applied."""
-    params = dict(_DEFAULTS[figure_id])
+    builder, defaults = _FIGURES[figure_id]
+    params = dict(defaults)
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown override {key!r} for {figure_id.value}")
         params[key] = _like_default(key, params[key], value)
-    builder = _BUILDERS[figure_id]
     columns = builder(params)
     meta = {"figure_id": figure_id.value,
             "params": {k: list(v) if isinstance(v, tuple) else v for k, v in params.items()}}
@@ -122,6 +92,13 @@ def _like_default(key: str, default, value):
     return float(value)
 
 
+def _config(sc: Scenario, p) -> montecarlo.McConfig:
+    """The figure's simulation of sc: its slow and fast sample counts and
+    seed, or its `samples` slow samples with one fast sample each."""
+    slow, fast = (p["samples"], 1) if "samples" in p else (p["slow"], p["fast"])
+    return montecarlo.McConfig(sc, slow, fast, p["seed"])
+
+
 def _build_erg_cap_compare(p):
     ns = np.arange(1, p["n_max"] + 1)
     return {"n": ns,
@@ -132,25 +109,20 @@ def _build_erg_cap_compare(p):
 def _build_erg_cap_los(p):
     ns = np.arange(0, p["n"] + 1)
     ana = analytic.erg_capacity_los(ns, p["a"])
-    mc = []
-    for n in ns:
-        if n == 0:
-            mc.append(_capacity(p["a"], 0.0))
-            continue
+    mc = [_capacity(p["a"], 0.0)]  # no link: the LOS-only channel
+    for n in ns[1:]:
         sc = Scenario(int(n), 1.0, p["a"], Scheme.HOPPING)
-        cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
-        mc.append(float(montecarlo.run(cfg).per_slow_capacity.mean()))
+        mc.append(float(montecarlo.run(_config(sc, p)).per_slow_capacity.mean()))
     return {"n": ns, "analytic": ana, "mc": mc}
 
 
-def _build_out_hopping(p, a):
+def _build_out_hopping(p):
     rates = _rate_grid(p["n"], p["points"])
     cols = {"rate": rates}
     for prob in p["p_values"]:
-        sc = Scenario(p["n"], prob, a, Scheme.HOPPING)
-        cols[f"analytic_p{prob:g}"] = analytic.outage_hopping(sc, rates)
-        cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
-        cols[f"mc_p{prob:g}"] = montecarlo.run(cfg).outage_at(rates)
+        sc = Scenario(p["n"], prob, p.get("a", 0.0), Scheme.HOPPING)
+        cols[f"analytic_p{prob:g}"] = analytic.outage(sc, rates)
+        cols[f"mc_p{prob:g}"] = montecarlo.run(_config(sc, p)).outage_at(rates)
     return cols
 
 
@@ -172,12 +144,9 @@ def _build_eps_cap_nlos(p):
 def _build_out_quantized(p):
     rates = _rate_grid(p["n"], p["points"])
     sc = Scenario(p["n"], p["p"], 0.0, Scheme.QUANTIZED, quant_levels=p["k"])
-    cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
-    return {
-        "rate": rates,
-        "analytic": analytic.outage_hopping(sc, rates),
-        "mc_quantized": montecarlo.run(cfg).outage_at(rates),
-    }
+    cfg = _config(sc, p)  # its checks come before the analytic column's
+    return {"rate": rates, "analytic": analytic.outage(sc, rates),
+            "mc_quantized": montecarlo.run(cfg).outage_at(rates)}
 
 
 def _build_quantized_sweep(p):
@@ -185,11 +154,9 @@ def _build_quantized_sweep(p):
     rates = _rate_grid(n_top, p["points"])
     cols = {"rate": rates}
     for n in p["n_values"]:
-        for scheme, tag in ((Scheme.QUANTIZED, "quantized"), (Scheme.HOPPING, "hopping")):
-            k = p["k"] if scheme is Scheme.QUANTIZED else None
+        for scheme, k in ((Scheme.QUANTIZED, p["k"]), (Scheme.HOPPING, None)):
             sc = Scenario(n, p["p"], 0.0, scheme, quant_levels=k)
-            cfg = montecarlo.McConfig(sc, p["slow"], p["fast"], p["seed"])
-            cols[f"mc_{tag}_n{n}"] = montecarlo.run(cfg).outage_at(rates)
+            cols[f"mc_{scheme.value}_n{n}"] = montecarlo.run(_config(sc, p)).outage_at(rates)
     return cols
 
 
@@ -198,9 +165,8 @@ def _build_static_nlos(p):
     cols = {"rate": rates}
     for prob in p["p_values"]:
         sc = Scenario(p["n"], prob, 0.0, Scheme.STATIC)
-        cols[f"approx_p{prob:g}"] = analytic.outage_static(sc, rates)
-        cfg = montecarlo.McConfig(sc, p["samples"], 1, p["seed"])
-        cols[f"mc_p{prob:g}"] = montecarlo.run(cfg).outage_at(rates)
+        cols[f"approx_p{prob:g}"] = analytic.outage(sc, rates)
+        cols[f"mc_p{prob:g}"] = montecarlo.run(_config(sc, p)).outage_at(rates)
     return cols
 
 
@@ -228,17 +194,25 @@ def _build_cosine_histogram(p):
     return cols
 
 
-_BUILDERS = {
-    FigureId.ERG_CAP_COMPARE: _build_erg_cap_compare,
-    FigureId.ERG_CAP_LOS: _build_erg_cap_los,
-    FigureId.OUT_HOPPING_NLOS: lambda p: _build_out_hopping(p, 0.0),
-    FigureId.OUT_HOPPING_LOS: lambda p: _build_out_hopping(p, p["a"]),
-    FigureId.EPS_CAP_NLOS: _build_eps_cap_nlos,
-    FigureId.OUT_QUANTIZED: _build_out_quantized,
-    FigureId.QUANTIZED_SWEEP_K2: _build_quantized_sweep,
-    FigureId.STATIC_NLOS: _build_static_nlos,
-    FigureId.SCHEME_COMPARISON: _build_scheme_comparison,
-    FigureId.COSINE_HISTOGRAM: _build_cosine_histogram,
+_FIGURES = {  # each figure's builder and its original parameters
+    FigureId.ERG_CAP_COMPARE: (_build_erg_cap_compare, {"n_max": 50}),
+    FigureId.ERG_CAP_LOS: (_build_erg_cap_los, {"n": 20, "a": 3.0, "slow": 1000,
+        "fast": 5000, "seed": 0}),
+    FigureId.OUT_HOPPING_NLOS: (_build_out_hopping, {"n": 20, "p_values": (0.1, 0.5, 0.9),
+        "slow": 2000, "fast": 10000, "seed": 0, "points": 500}),
+    FigureId.OUT_HOPPING_LOS: (_build_out_hopping, {"n": 20, "a": 3.0,
+        "p_values": (0.0, 0.5, 1.0), "slow": 2000, "fast": 10000, "seed": 0, "points": 500}),
+    FigureId.EPS_CAP_NLOS: (_build_eps_cap_nlos, {"n": 20, "p_values": (0.1, 0.5, 0.9),
+        "eps_min": 1e-9, "eps_max": 1e-1, "points": 500}),
+    FigureId.OUT_QUANTIZED: (_build_out_quantized, {"n": 20, "p": 0.5, "k": 2,
+        "slow": 2000, "fast": 10000, "seed": 0, "points": 500}),
+    FigureId.QUANTIZED_SWEEP_K2: (_build_quantized_sweep, {"n_values": (16, 64), "p": 0.5,
+        "k": 2, "slow": 500, "fast": 20000, "seed": 0, "points": 500}),
+    FigureId.STATIC_NLOS: (_build_static_nlos, {"n": 20, "p_values": (0.1, 0.5, 0.9),
+        "samples": 10**6, "seed": 0, "points": 500}),
+    FigureId.SCHEME_COMPARISON: (_build_scheme_comparison, {"n": 20, "p": 0.5, "points": 500}),
+    FigureId.COSINE_HISTOGRAM: (_build_cosine_histogram, {"n_values": (4, 50), "k": 4,
+        "samples": 10**6, "seed": 0, "bins": 80}),
 }
 
 

@@ -345,6 +345,9 @@ class TestErrors:
         ("eps-capacity", "--n", "20", "--p", "0.5", "--a", "inf", "--eps", "0.1"),
         # finite, but past the capacity rule's budget: an OverflowError traceback
         ("capacity", "--links", "2", "--a", "1e308"),
+        # (a + n)^2 overflows: a brentq RuntimeError traceback on an infinite bracket
+        ("eps-capacity", "--n", "3", "--p", "0.5", "--a", "1e200", "--scheme", "static",
+         "--eps", "0.1"),
     ])
     def test_non_finite_amplitude(self, capsys, args):
         # these printed 0.0000, nan or 0.00000e+00 with exit 0

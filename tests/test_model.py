@@ -55,6 +55,20 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario(5, 0.5, scheme=Scheme.QUANTIZED, quant_levels=1)
 
+    def test_amplitude_whose_channel_overflows(self):
+        # (a + n)^2 overflowed: static eps_capacity ended in a brentq RuntimeError,
+        # and perfect outage and the simulator raised overflow warnings
+        top = float(np.sqrt(np.finfo(float).max))  # 1.3407807929942596e154
+        for scheme in Scheme:
+            k = 2 if scheme is Scheme.QUANTIZED else None
+            Scenario(3, 0.5, top, scheme, quant_levels=k)
+            with pytest.raises(ValueError, match=r"^los_amplitude \+ n_elements must be "
+                               r"below about 1.34e154, where the largest channel "
+                               r"\(a \+ n\)\^2 overflows a float, got 1e\+200 \+ 3$"):
+                Scenario(3, 0.5, 1e200, scheme, quant_levels=k)
+        with pytest.raises(ValueError, match="los_amplitude"):
+            Scenario(3, 0.5, float(np.nextafter(top, np.inf)))
+
     @pytest.mark.parametrize("field, value", [
         ("n_elements", "20"), ("n_elements", True), ("n_elements", None),
         ("n_elements", [20]),

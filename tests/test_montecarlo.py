@@ -33,6 +33,20 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             McConfig(sc, 10**6, 10**5)
 
+    @pytest.mark.parametrize("scheme", ["static", "perfect"])
+    def test_work_guard_counts_no_fast_loop(self, scheme):
+        # static and perfect run no fast loop: `mc --scheme static --slow 20000000`
+        # with the default --fast 1000 was refused as 2e10 samples
+        McConfig(Scenario(20, 0.5, scheme=scheme), 2 * 10**7, 1000)
+        with pytest.raises(ValueError, match="20000000000 x 1 samples exceed"):
+            McConfig(Scenario(20, 0.5, scheme=scheme), 2 * 10**10, 1000)
+
+    @pytest.mark.parametrize("scheme, levels", [("hopping", None), ("quantized", 2)])
+    def test_work_guard_counts_fast_loop(self, scheme, levels):
+        with pytest.raises(ValueError, match="^20000000 x 1000 samples exceed the 1e10 "
+                           "work guard$"):
+            McConfig(Scenario(20, 0.5, scheme=scheme, quant_levels=levels), 2 * 10**7, 1000)
+
     def test_sample_bounds(self):
         sc = Scenario(4, 0.5)
         with pytest.raises(ValueError):

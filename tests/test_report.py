@@ -12,6 +12,32 @@ from phasehop.report import (
 )
 
 
+# every figure at scaled-down sample counts and grids, with its column names
+SMALL_FIGURES = {
+    FigureId.ERG_CAP_COMPARE: ({"n_max": 6}, ["n", "exact", "approx"]),
+    FigureId.ERG_CAP_LOS: ({"n": 3, "slow": 10, "fast": 40}, ["n", "analytic", "mc"]),
+    FigureId.OUT_HOPPING_NLOS: (
+        {"slow": 20, "fast": 50, "points": 15},
+        ["rate", "analytic_p0.1", "mc_p0.1", "analytic_p0.5", "mc_p0.5",
+         "analytic_p0.9", "mc_p0.9"]),
+    FigureId.OUT_HOPPING_LOS: (
+        {"slow": 20, "fast": 50, "points": 15},
+        ["rate", "analytic_p0", "mc_p0", "analytic_p0.5", "mc_p0.5", "analytic_p1", "mc_p1"]),
+    FigureId.EPS_CAP_NLOS: ({"points": 15}, ["eps", "rate_p0.1", "rate_p0.5", "rate_p0.9"]),
+    FigureId.OUT_QUANTIZED: ({"slow": 20, "fast": 100, "points": 15},
+                             ["rate", "analytic", "mc_quantized"]),
+    FigureId.QUANTIZED_SWEEP_K2: (
+        {"slow": 10, "fast": 40, "points": 15},
+        ["rate", "mc_quantized_n16", "mc_hopping_n16", "mc_quantized_n64", "mc_hopping_n64"]),
+    FigureId.STATIC_NLOS: (
+        {"samples": 600, "points": 15},
+        ["rate", "approx_p0.1", "mc_p0.1", "approx_p0.5", "mc_p0.5", "approx_p0.9", "mc_p0.9"]),
+    FigureId.SCHEME_COMPARISON: ({"points": 15}, ["rate", "hopping", "static", "perfect"]),
+    FigureId.COSINE_HISTOGRAM: ({"samples": 2000, "bins": 12},
+                                ["x", "density_n4", "normal_n4", "density_n50", "normal_n50"]),
+}
+
+
 class TestFigureDataset:
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError):
@@ -108,12 +134,13 @@ class TestWriters:
         for name in ds.columns:
             np.testing.assert_array_equal(back.columns[name], ds.columns[name])
 
-    def test_metadata_rebuilds_identically(self, tmp_path):
-        ds = build_figure(
-            FigureId.OUT_QUANTIZED, {"slow": 20, "fast": 100, "points": 15}
-        )
-        params = dict(ds.metadata["params"])
-        again = build_figure(FigureId.OUT_QUANTIZED, params)
+    @pytest.mark.parametrize("figure_id", list(FigureId), ids=lambda f: f.value)
+    def test_metadata_rebuilds_identically(self, figure_id):
+        overrides, names = SMALL_FIGURES[figure_id]
+        ds = build_figure(figure_id, overrides)
+        assert list(ds.columns) == names
+        again = build_figure(figure_id, dict(ds.metadata["params"]))
+        assert again.metadata == ds.metadata
         for name in ds.columns:
             np.testing.assert_array_equal(again.columns[name], ds.columns[name])
 
