@@ -146,6 +146,10 @@ def _cmd_mc(args) -> int:
     if "method" in cfg:
         raise ValueError("mc takes no method (config key 'method')")
     mc_cfg = cfg.get("mc", {})
+    if scenario.scheme in (Scheme.STATIC, Scheme.PERFECT) and (
+            args.fast is not None or "fast" in mc_cfg):
+        raise ValueError(f"{scenario.scheme.value} scheme runs no fast loop: mc takes "
+                         "no --fast (config key 'mc.fast')")
     slow = args.slow if args.slow is not None else mc_cfg.get("slow", 1000)
     fast = args.fast if args.fast is not None else mc_cfg.get("fast", 1000)
     seed = args.seed if args.seed is not None else mc_cfg.get("seed", 0)
@@ -207,7 +211,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mc", help="Monte-Carlo simulation run")
     _add_scenario_flags(p)
     p.add_argument("--slow", type=int, help="slow-fading realizations")
-    p.add_argument("--fast", type=int, help="fast symbols per realization")
+    p.add_argument("--fast", type=int, help="fast symbols per realization (hopping and "
+                   "quantized only)")
     p.add_argument("--seed", type=int, help="RNG seed")
     p.add_argument("--workers", type=int, default=1, help="threads over blocks "
                    "of 256 slow samples; the output is the same for any value")

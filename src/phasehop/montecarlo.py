@@ -1,10 +1,17 @@
 """Deterministic two-timescale Monte-Carlo channel simulator.
 
 Slow samples come in blocks of 256 rows, and block b draws from the Philox
-stream keyed by (seed, b), in this order: the link states avail (m x n
-uniforms compared with the link probabilities), then one unit phasor
-c + js per active link, row-major (row 0's links, then row 1's, ...), by
-`_unit_phasors`, then the LOS phase u (m uniforms, drawn at a = 0 too).
+stream keyed by (seed, b), in this order: the link states (m x n raw
+64-bit words), then one unit phasor c + js per active link, row-major
+(row 0's links, then row 1's, ...), by `_unit_phasors`, then the LOS
+phase u (m uniforms, drawn at a = 0 too). Philox is counter-based, so a
+stream is set by its key alone (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC 2011): each thread holds one generator, and
+`_stream` re-keys it to (seed, b) with counter 0 and an empty buffer
+instead of building one per block. A link is up when its word w has
+w >> 11 < ceil(p * 2^53), computed once per run: the same test as
+(w >> 11) * 2^-53 < p, the uniform that Generator.random makes of w,
+with no float conversion.
 `_block` alone knows this layout. Perfect stops after the link states:
 its capacity reads only the link counts n_avail. The other schemes pass
 the drawn arrays to their evaluator, which returns one capacity per row:
@@ -70,6 +77,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -102,10 +110,29 @@ def _checked_seed(seed) -> int:
     return seed
 
 
+class _ThreadGenerator(threading.local):
+    """One Philox generator per thread, which `_stream` re-keys."""
+
+    def __init__(self):
+        self.rng = np.random.Generator(np.random.Philox(0))
+
+
+_THREAD = _ThreadGenerator()
+
+
 def _stream(seed: int, b: int) -> np.random.Generator:
-    """The Philox stream keyed by the two 64-bit words (seed, b). A list key
-    would become float64 from seed 2^63 up, and merge or wrap those seeds."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+    """The Philox stream keyed by the two 64-bit words (seed, b): the calling
+    thread's generator, set to that key with counter 0 and an empty buffer,
+    the state `Philox(key=[seed, b])` starts in, without the OS-entropy
+    SeedSequence that building a Philox makes and the key replaces. It is
+    valid until the thread's next call. The key words stay Python ints,
+    exact up to 2^64 - 1 (as float64 they would merge seeds from 2^63 up)."""
+    rng = _THREAD.rng
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, b)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,  # 4: no word left in the buffer
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 @dataclass(frozen=True)
@@ -230,12 +257,19 @@ def _unit_phasors(rng, count: int) -> tuple[np.ndarray, np.ndarray]:
         xy = rng.bit_generator.random_raw(2 * _pairs_for(need)).view(np.int64)
         xy >>= 11
         x, y = xy.astype(float).reshape(2, -1)
-        r2 = x * x + y * y
+        r2 = x * x
+        r2 += y * y
         keep = np.flatnonzero((r2 < _DISK) & (r2 > 0.0))[:need]
         x, y, r2 = x[keep], y[keep], r2[keep]
         done = have + keep.size
-        np.divide((x - y) * (x + y), r2, out=c[have:done])
-        np.divide((x + x) * y, r2, out=s[have:done])
+        cos, sin = c[have:done], s[have:done]
+        np.add(x, x, out=sin)
+        sin *= y
+        sin /= r2
+        np.subtract(x, y, out=cos)
+        x += y
+        cos *= x
+        cos /= r2
         have = done
     return c, s
 
@@ -252,22 +286,44 @@ def _static_capacities(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray,
     it by rounding: each part of h by at most k^2 * eps, twice the error
     bound of any order (Higham, Accuracy and Stability of Numerical
     Algorithms, 4.2). Rows of at most 2 links keep its bits."""
-    linked = n_avail > 0  # reduceat would give an empty segment one term
-    starts = (np.cumsum(n_avail) - n_avail)[linked]
-    re, im = np.zeros(n_avail.size), np.zeros(n_avail.size)
-    re[linked] = np.add.reduceat(c, starts)
-    im[linked] = np.add.reduceat(s, starts)
-    return _capacity(los.real + re, los.imag + im)
+    starts = np.cumsum(n_avail)
+    starts -= n_avail
+    if n_avail.all():
+        re, im = np.add.reduceat(c, starts), np.add.reduceat(s, starts)
+    else:  # reduceat would give an empty segment one term
+        linked = n_avail > 0
+        re, im = np.zeros(n_avail.size), np.zeros(n_avail.size)
+        re[linked] = np.add.reduceat(c, starts[linked])
+        im[linked] = np.add.reduceat(s, starts[linked])
+    re += los.real
+    im += los.imag
+    return _capacity(re, im)
 
 
-def _block(config: McConfig, probs: np.ndarray, b: int):
+def _link_limits(probs: np.ndarray) -> np.ndarray:
+    """ceil(p * 2^53) for each link probability p, as uint64: a uniform
+    u = (w >> 11) * 2^-53 from a raw word w, as Generator.random makes it,
+    is below p exactly when w >> 11 is below this limit."""
+    return np.ceil(probs * 2.0**53).astype(np.uint64)
+
+
+def _link_counts(rng, rows: int, limits: np.ndarray) -> np.ndarray:
+    """Active links in each of `rows` rows, from one raw word of rng per row
+    and link, row-major: link i is up when its word's top 53 bits are below
+    limits[i], the `_link_limits` of its probability."""
+    words = rng.bit_generator.random_raw(rows * limits.size)
+    words >>= 11
+    return (words.reshape(rows, limits.size) < limits).sum(axis=1)
+
+
+def _block(config: McConfig, limits: np.ndarray, b: int):
     """Capacities and link counts of the slow samples in block b: the one
-    place that knows a block's stream layout (see the module docstring)."""
+    place that knows a block's stream layout (see the module docstring).
+    limits are the `_link_limits` of the link probabilities."""
     sc = config.scenario
     m = min(_BLOCK, config.slow_samples - b * _BLOCK)
     rng = _stream(config.seed, b)
-    avail = rng.random((m, sc.n_elements)) < probs
-    n_avail = avail.sum(axis=1)
+    n_avail = _link_counts(rng, m, limits)
     if sc.scheme is Scheme.PERFECT:  # reads nothing more of the stream
         return _capacity(sc.los_amplitude + n_avail, 0.0), n_avail
     c, s = _unit_phasors(rng, int(n_avail.sum()))
@@ -314,10 +370,10 @@ def run(config: McConfig, workers: int = 1) -> McResult:
     """Simulate all slow samples, one block per task on up to `workers`
     threads; with one block or one worker, in the calling thread."""
     workers = whole_number(workers, 1, "workers")
-    probs = config.scenario.prob_vector
+    limits = _link_limits(config.scenario.prob_vector)
     n_blocks = -(-config.slow_samples // _BLOCK)
     threads = min(workers, n_blocks)
-    task = functools.partial(_block, config, probs)
+    task = functools.partial(_block, config, limits)
     if threads == 1:  # a one-thread pool adds ~0.5 ms of start-up and hand-offs
         blocks = list(map(task, range(n_blocks)))
     else:

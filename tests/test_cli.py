@@ -319,6 +319,21 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("scheme", ["static", "perfect"])
+    def test_mc_rejects_fast_without_fast_loop(self, capsys, tmp_path, scheme):
+        # static and perfect run no fast loop; --fast and "mc.fast" were
+        # ignored, and every value printed the same capacities with exit 0
+        scenario = ("--n", "4", "--p", "0.5", "--scheme", scheme, "--slow", "6")
+        rejected = (2, "", f"error: {scheme} scheme runs no fast loop: mc takes no "
+                    "--fast (config key 'mc.fast')\n")
+        assert run_cli(capsys, "mc", *scenario, "--fast", "7") == rejected
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 4, "p": 0.5, "scheme": scheme,
+                                    "mc": {"slow": 6, "fast": 7}}))
+        assert run_cli(capsys, "mc", "--config", str(path)) == rejected
+        code, out, err = run_cli(capsys, "mc", *scenario)
+        assert (code, err, len(out.splitlines())) == (0, "", 7)
+
 
 class TestErrors:
     def test_missing_required(self, capsys):

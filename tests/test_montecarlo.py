@@ -1,4 +1,8 @@
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -15,6 +19,7 @@ from phasehop.montecarlo import (
     _chunk_rows,
     _fast_means,
     _levels,
+    _link_limits,
     _pairs_for,
     _static_capacities,
     _stream,
@@ -211,6 +216,119 @@ class TestDeterminism:
         a = run(McConfig(sc, 20, 100, seed=1)).per_slow_capacity
         b = run(McConfig(sc, 20, 100, seed=2)).per_slow_capacity
         assert not np.array_equal(a, b)
+
+
+# SHA-256 of run and quantized_sum_samples outputs, run here and in a fresh
+# interpreter: every scheme on 7 links (odd rows x links, so that a block's
+# link states end part-way through a four-word Philox output), with rows
+# of 0 and of all 7 links and rejected quantized levels
+_DIGEST = """
+import hashlib
+from phasehop.model import Scenario, Scheme
+from phasehop.montecarlo import McConfig, run, quantized_sum_samples
+
+def digest():
+    h = hashlib.sha256()
+    p = (0.0, 0.3, 0.5, 0.9, 1.0, 0.5, 0.2)
+    for scheme, k in ((Scheme.PERFECT, None), (Scheme.STATIC, None),
+                      (Scheme.HOPPING, None), (Scheme.QUANTIZED, 3)):
+        for seed in (0, 2**64 - 1):
+            res = run(McConfig(Scenario(7, p, 1.5, scheme, quant_levels=k), 301, 9, seed),
+                      workers=2)
+            h.update(res.per_slow_capacity.tobytes())
+            h.update(res.n_avail.tobytes())
+    h.update(quantized_sum_samples(5, 3, 999, seed=7).tobytes())
+    return h.hexdigest()
+"""
+
+
+class TestStreamReuse:
+    """Each thread re-keys one Philox generator per block: no run or sum
+    may read anything an earlier one left in it."""
+
+    @staticmethod
+    def _others():
+        # runs that leave the thread's generator part-way through a word
+        # group, with other keys: another seed, every other scheme, other
+        # worker counts, a quantized cosine sum
+        sc = dict(n_elements=7, link_probs=0.45, los_amplitude=0.5)
+        yield lambda: run(McConfig(Scenario(**sc, scheme="perfect"), 37, 1, seed=3))
+        yield lambda: run(McConfig(Scenario(**sc, scheme="static"), 301, 1, seed=4))
+        yield lambda: run(McConfig(Scenario(**sc, scheme="quantized", quant_levels=5),
+                                   13, 11, seed=5))
+        yield lambda: run(McConfig(Scenario(**sc), 300, 7, seed=6), workers=2)
+        yield lambda: quantized_sum_samples(3, 7, 101, seed=8)
+
+    @pytest.mark.parametrize("scheme, k", [(Scheme.PERFECT, None), (Scheme.STATIC, None),
+                                           (Scheme.HOPPING, None), (Scheme.QUANTIZED, 3)])
+    def test_same_bits_after_other_runs(self, scheme, k):
+        cfg = McConfig(Scenario(9, (0.0, 0.2, 0.5, 0.5, 0.7, 0.9, 1.0, 0.4, 0.6), 0.8,
+                                scheme, quant_levels=k), 2 * _BLOCK + 3, 23, seed=2**63 + 1)
+        ref = run(cfg)
+        for other in self._others():
+            other()
+            for workers in (1, 3):
+                res = run(cfg, workers=workers)
+                np.testing.assert_array_equal(res.per_slow_capacity, ref.per_slow_capacity)
+                np.testing.assert_array_equal(res.n_avail, ref.n_avail)
+
+    def test_quantized_sum_same_bits_after_other_runs(self):
+        ref = quantized_sum_samples(4, 5, 3001, seed=12)
+        for other in self._others():
+            other()
+            np.testing.assert_array_equal(quantized_sum_samples(4, 5, 3001, seed=12), ref)
+
+    def test_fresh_process_same_digest(self):
+        for other in self._others():  # this thread's generator has been used
+            other()
+        scope = {}
+        exec(_DIGEST, scope)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", _DIGEST + "print(digest())"],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert done.stdout == scope["digest"]() + "\n"
+
+
+class TestLinkStates:
+    @pytest.mark.parametrize("p", [0.0, 2.0**-53, 1 - 2.0**-53, 1.0])
+    def test_perfect_at_the_edges(self, p):
+        # p = 2^-53 is up only for a word whose top 53 bits are 0, and
+        # 1 - 2^-53 down only for all ones: once in 2^53 draws each
+        n = 5
+        res = run(McConfig(Scenario(n, p, scheme=Scheme.PERFECT), _BLOCK + 9, 1, seed=31))
+        links = n if p > 0.5 else 0
+        np.testing.assert_array_equal(res.n_avail, np.full(_BLOCK + 9, links))
+        np.testing.assert_array_equal(res.per_slow_capacity,
+                                      np.full(_BLOCK + 9, np.log2(1.0 + links**2)))
+
+    def test_perfect_heterogeneous_with_zero_and_one(self):
+        # links of p = 0 and 2^-53 are never up, of 1 - 2^-53 and 1 always
+        p = (0.0, 1.0, 0.5, 2.0**-53, 1 - 2.0**-53, 0.5, 1.0, 0.0)
+        slow = 4 * _BLOCK
+        res = run(McConfig(Scenario(8, p, scheme=Scheme.PERFECT), slow, 1, seed=2**64 - 1))
+        assert set(res.n_avail.tolist()) == {3, 4, 5}
+        # the two p = 0.5 links: their count is binomial(2, 1/2)
+        counts = np.bincount(res.n_avail - 3, minlength=3)
+        assert np.all(np.abs(counts - slow * np.array([0.25, 0.5, 0.25]))
+                      <= 4 * np.sqrt(slow * np.array([0.1875, 0.25, 0.1875])))
+
+    def test_limits_match_the_float_test(self):
+        # u = (w >> 11) * 2^-53, as Generator.random makes it from a word w,
+        # is below p exactly when w >> 11 is below the limit: checked for
+        # top bits at the limit and one to either side of it, for p on the
+        # 2^-53 grid, between grid points, and at 0, 1 and their neighbours
+        grid = 2.0**-53
+        p = np.array([0.0, 5e-324, grid, 1.5 * grid, 2 * grid, 0.1, 1 / 3, 0.5,
+                      np.nextafter(0.5, 0), np.nextafter(0.5, 1), 1 - 2 * grid,
+                      1 - 1.5 * grid, 1 - grid, 1.0])
+        limits = _link_limits(p)
+        assert limits.dtype == np.uint64
+        top = (limits.astype(np.int64)[:, None] + np.arange(-1, 2)).clip(0, 2**53 - 1)
+        words = (top.astype(np.uint64) << np.uint64(11)) | np.uint64(2**11 - 1)
+        float_test = (words >> np.uint64(11)) * grid < p[:, None]
+        np.testing.assert_array_equal((words >> np.uint64(11)) < limits[:, None], float_test)
+        assert float_test.any() and not float_test.all()
 
 
 class TestSchemes:
