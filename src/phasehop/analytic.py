@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .hankel import _cdf_grid
 from .model import Scenario, Scheme, _capacity, _characteristic
@@ -214,6 +214,7 @@ def _curve(scenario: Scenario, method: CapacityMethod):
         return (evaluate(np.array([r]))[0] if value is None else value) - t
 
     def eps_capacity_of(e: np.ndarray) -> np.ndarray:
+        from scipy import optimize  # only here: kept off the import path
         if not known:  # one update, so another thread sees both ends or none
             top, bottom = evaluate(np.array([r_max, _EPS_LO]))
             known.update({r_max: top, _EPS_LO: bottom})

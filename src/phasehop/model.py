@@ -176,13 +176,12 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
     return _angle_capacity(phi[None, :] + theta, los)
 
 
-def _angle_capacity(ang, los, cos=None):
+def _angle_capacity(ang, los):
     """log2(1+|h|^2) in bits for each row of the m x k angle array ang, with
     h = los + sum_i exp(j*ang[:, i]): the channel formula of symbol_capacity
-    and the Monte-Carlo fast loop. It overwrites ang with its sines, and
-    writes the cosines into cos, a work array of ang's shape and dtype, if
-    one is given. The sums over the links are float64 for any dtype."""
-    re = np.cos(ang, out=cos).sum(axis=1, dtype=float)
+    and the Monte-Carlo fast loop. It overwrites ang with its sines. The
+    sums over the links are float64 for any dtype."""
+    re = np.cos(ang).sum(axis=1, dtype=float)
     im = np.sin(ang, out=ang).sum(axis=1, dtype=float)
     return _capacity(los.real + re, los.imag + im)
 

@@ -66,12 +66,10 @@ contiguous memory. A level l is the top bits of one byte of a raw 64-bit
 Philox word for K <= 256, of two bytes for K <= 65536 and of four beyond;
 values >= K are rejected, which makes the draw exactly uniform. Every
 fast-loop and quantized-sum chunk holds about 2^18 phases (1 MB of
-float32), so that its temporaries stay in cache. The chunks reuse two
-float32 work arrays, held per block of the fast loop and per call of
-`quantized_sum_samples`: the angles are drawn into the first and the link
-phases added in place, the cosines go into the second and the sines over
-the first. No chunk allocates an array of its phases' size, so the heap
-neither grows nor is trimmed once per chunk.
+float32), so that its temporaries stay in cache and a row of any length
+needs memory for one chunk only. Each chunk's angles are drawn into a
+fresh float32 array, to which the link phases (or the second level draw)
+are added in place.
 """
 from __future__ import annotations
 
@@ -193,9 +191,9 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK // max(width, 1))
 
 
-def _levels(rng, levels: int, shape, out=None) -> np.ndarray:
-    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1,
-    written into out (a float32 array of that shape) if it is given.
+def _levels(rng, levels: int, shape) -> np.ndarray:
+    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1, in
+    an array of the given shape.
 
     l is the top b = (levels - 1).bit_length() bits of each value cut from
     raw 64-bit words of rng's bit generator in the smallest unsigned type
@@ -224,7 +222,7 @@ def _levels(rng, levels: int, shape, out=None) -> np.ndarray:
         while redo.size:
             level[redo] = fresh = draw(redo.size)
             redo = redo[np.flatnonzero(fresh >= levels)]
-    return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels), out=out,
+    return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels),
                        dtype=np.float32)
 
 
@@ -343,25 +341,20 @@ def _fast_means(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray, los: np.ndarr
     arctan2 over the block, and its LOS phasor los[i] stay fixed, and its
     surface phases are drawn from rng on the grid of quant_levels levels
     (256 for continuous hopping, quant_levels None), row after row and a
-    chunk at a time, into two float32 work arrays held for the block. A
-    chunk's angles are link-major, k x rows, and go to the channel formula
-    transposed, so that its float64 sums over the links run along
-    contiguous memory."""
+    chunk at a time. A chunk's angles are link-major, k x rows, and go to
+    the channel formula transposed, so that its float64 sums over the
+    links run along contiguous memory."""
     levels = quant_levels or _HOPPING_LEVELS
     phase = np.arctan2(s, c).astype(np.float32)[:, None]
-    work = [np.empty(max(_CHUNK, int(n_avail.max(initial=0))), np.float32)
-            for _ in range(2)]
     means = np.empty(los.size)
     stop = 0
     for i, k in enumerate(n_avail.tolist()):
         link, stop = phase[stop : stop + k], stop + k
         rows, total = _chunk_rows(k), 0.0
         for start in range(0, symbols, rows):
-            m = min(rows, symbols - start)
-            ang, cos = (w[: k * m].reshape(k, m) for w in work)
-            _levels(rng, levels, (k, m), out=ang)
+            ang = _levels(rng, levels, (k, min(rows, symbols - start)))
             ang += link
-            total += float(_angle_capacity(ang.T, los[i], cos.T).sum())
+            total += float(_angle_capacity(ang.T, los[i]).sum())
         means[i] = total / symbols
     return means
 
@@ -389,21 +382,18 @@ def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     drawn as continuous hopping draws it, on the 256-point grid from one byte
     of a Philox word each, which leaves every moment of the sum of degree
     below 256 as for a uniform phi. Phases and cosines are float32 and
-    link-major, in two work arrays held for the call, and the sum is
-    float64. The seed is checked as McConfig checks it."""
+    link-major, a chunk at a time, and the sum is float64. The seed is
+    checked as McConfig checks it."""
     n = whole_number(n, 1, "n")
     k_levels = whole_number(k_levels, 2, "k_levels")
     samples = whole_number(samples, 1, "samples")
     rng = _stream(_checked_seed(seed), 0)
     out = np.empty(samples)
     chunk = _chunk_rows(n)
-    work = [np.empty(n * chunk, np.float32) for _ in range(2)]
     for pos in range(0, samples, chunk):
         m = min(chunk, samples - pos)
-        phi, theta = (w[: n * m].reshape(n, m) for w in work)
-        _levels(rng, _HOPPING_LEVELS, (n, m), out=phi)
-        _levels(rng, k_levels, (n, m), out=theta)
-        phi += theta
+        phi = _levels(rng, _HOPPING_LEVELS, (n, m))
+        phi += _levels(rng, k_levels, (n, m))
         out[pos : pos + m] = np.cos(phi, out=phi).sum(axis=0, dtype=float)
     return out
 

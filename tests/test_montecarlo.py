@@ -3,6 +3,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -517,6 +518,20 @@ class TestFastLoop:
         ref = [self._reference_mean(twin, phase[stop - k : stop], los[i], levels, symbols)
                for i, (stop, k) in enumerate(zip(stops, n_avail))]
         np.testing.assert_array_equal(means, ref)
+
+    def test_memory_bounded_by_the_chunk(self):
+        # one always-on row of 64 links and 10^6 symbols is 6.4e7 phases,
+        # 256 MB as one float32 array; chunk by chunk it peaks near 2.3 MB
+        config = McConfig(Scenario(64, 1.0), 1, 10**6, 3)
+        run(McConfig(Scenario(64, 1.0), 1, 10, 3))  # imports and caches outside
+        tracemalloc.start()
+        try:
+            res = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.n_avail.tolist() == [64]
+        assert peak <= 8 * 2**20
 
     def test_hopping_grid_moments(self):
         # the K-point average of a trigonometric polynomial of degree below

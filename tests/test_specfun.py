@@ -132,13 +132,14 @@ class TestMarcumQ1:
     def test_import_skips_scipy_stats(self):
         # importing scipy.stats takes about 0.7 s; only the Q1 tail under 1e-20
         # and binomial past n = 1024 use it. scipy.integrate is imported only
-        # by the four-link density.
+        # by the four-link density, scipy.optimize only by the static
+        # eps-capacity search.
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        code = ("import phasehop, sys; "
-                "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])")
+        code = ("import phasehop, sys; print([m in sys.modules for m in "
+                "('scipy.stats', 'scipy.integrate', 'scipy.optimize')])")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=dict(os.environ, PYTHONPATH=str(src)), check=True).stdout
-        assert out.strip() == "[False, False]"
+        assert out.strip() == "[False, False, False]"
 
     def test_monotonicity(self):
         rng = np.random.default_rng(21)
