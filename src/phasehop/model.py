@@ -160,10 +160,9 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
     summing into float64; any other theta is taken as float64.
 
     The layout follows theta too: numpy keeps a column-major theta (the
-    transpose of a link-major k x m draw, as the Monte-Carlo fast loop
-    passes it) column-major through the angles and cos/sin, so the sums
-    over the links run along contiguous memory. The result has the same
-    bits for either layout.
+    transpose of a link-major k x m array) column-major through the angles
+    and cos/sin, so the sums over the links run along contiguous memory.
+    The result has the same bits for either layout.
     """
     theta = np.asarray(theta)
     if theta.dtype != np.float32:
@@ -173,14 +172,7 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
         raise ValueError(
             f"theta of shape {theta.shape} does not match {phi.size} link phases"
         )
-    return _angle_capacity(phi[None, :] + theta, los)
-
-
-def _angle_capacity(ang, los):
-    """log2(1+|h|^2) in bits for each row of the m x k angle array ang, with
-    h = los + sum_i exp(j*ang[:, i]): the channel formula of symbol_capacity
-    and the Monte-Carlo fast loop. It overwrites ang with its sines. The
-    sums over the links are float64 for any dtype."""
+    ang = phi[None, :] + theta
     re = np.cos(ang).sum(axis=1, dtype=float)
     im = np.sin(ang, out=ang).sum(axis=1, dtype=float)
     return _capacity(los.real + re, los.imag + im)
@@ -193,9 +185,10 @@ def _characteristic(t, links, a=0.0, gaussian=False):
     J0(a t) e^{-links t^2/4}. t broadcasts against links; links keeps the
     caller's type, since numpy takes a Python int 2 as x*x, 1 ulp off the
     general power of an int64 array."""
-    # the power unnamed, so numpy reuses its buffer for the product
-    return special.j0(a * t) * (np.exp(-0.25 * links * (t * t)) if gaussian
-                                else special.j0(t) ** links)
+    phi = np.exp(-0.25 * links * (t * t)) if gaussian else special.j0(t) ** links
+    if a:  # J0(0) is exactly 1: at a = 0 the product would keep every bit
+        phi *= special.j0(a * t)  # in place, into phi's fresh buffer
+    return phi
 
 
 def _capacity(re, im):

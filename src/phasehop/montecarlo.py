@@ -32,44 +32,46 @@ at a time in float64: each row's phasors are one segment, and the real
 and the imaginary parts are summed per segment by one reduceat each. That
 order of summation is not a row sum's, so a row of k >= 3 links is within
 a rounding bound of it (k^2 * eps on each part of h) rather than bit for
-bit. The fast loop reads the same draws as link phases, one float64
-arctan2 over the block's phasors, taken to float32.
+bit. The fast loop reads the same draws as complex link phasors
+P = c + js.
 
-The fast loop draws its surface phases in float32 from the grid of K
-levels 2*pi*l/K: the quantized scheme's K, or K = 256 for continuous
-hopping, so that each phase costs one byte of a raw 64-bit Philox word.
-256 levels lose nothing the loop can see. Given the slow phases, the
-fast-loop mean averages, link by link, a periodic function of the surface
-phase: with A the rest of the channel, 1 + |A + e^{jz}|^2 =
-2 + |A|^2 + 2|A|cos z has no zero, and stays off the log's branch cut, for
-|Im z| < acosh(sqrt 2) ~ 0.881, whatever A is. Averaging it over a K-point
-grid is the trapezoid rule on a function analytic in that strip, so it
-errs by O(exp(-0.881 K)) (Trefethen and Weideman, "The exponentially
-convergent trapezoidal rule", SIAM Review 56, 2014): at K = 256 the mean
-of a slow sample's fast loop given its slow phases equals the
-continuous-phase mean within about n * 1e-88 bits for n links, and every
-moment of the phasors of degree below 256 is exact. So for continuous
-hopping the expected fast-loop mean given n links is C(n, a), whatever the
-slow phases; the loop adds only noise to that table and serves as its
-independent cross-check.
+The fast loop draws its surface phases as integer levels l of the grid
+2*pi*l/K: the quantized scheme's K, or K = 256 for continuous hopping, so
+that each phase costs one byte of a raw 64-bit Philox word. 256 levels
+lose nothing the loop can see, and `McConfig` takes at most 256
+quantized levels. Given the slow phases, the fast-loop mean averages,
+link by link, a periodic function of the surface phase: with A the rest
+of the channel, 1 + |A + e^{jz}|^2 = 2 + |A|^2 + 2|A|cos z has no zero,
+and stays off the log's branch cut, for |Im z| < acosh(sqrt 2) ~ 0.881,
+whatever A is. Averaging it over a K-point grid is the trapezoid rule on
+a function analytic in that strip, so it errs by O(exp(-0.881 K))
+(Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56, 2014): at K = 256 the mean of a slow sample's fast loop
+given its slow phases equals the continuous-phase mean within about
+n * 1e-88 bits for n links, and every moment of the phasors of degree
+below 256 is exact. So for continuous hopping the expected fast-loop mean
+given n links is C(n, a), whatever the slow phases; the loop adds only
+noise to that table and serves as its independent cross-check.
 
-The angles and their cos/sin are float32 and their sums over the links
-float64, through `model._angle_capacity`, the formula `symbol_capacity`
-uses too. A symbol's capacity stays within 1.2e-6 bits per active link of
-the float64 result on the same phases (tests/test_model.py), and the
-float32 grid step, 2.8e-8 relative off 2*pi/K, moves a fast-loop mean by
-at most 1.3e-7 bits per link; both are far inside the loop's own noise.
+A symbol's channel is h = los + sum_j P_j W[l_j] in complex128, with W
+the cached table of the K grid phasors e^{2*pi*j*l/K}: each row builds
+its k x K table of rotated phasors P_j W once (16 k K bytes, 4 KB a link
+at K = 256), adds its LOS phasor to the first link's, and gathers one
+table row per link by that link's levels. No angle, cos or sin is taken
+per symbol, and `model._capacity` reads h. Each product P_j W[l] is
+within a few ulps of the exact phasor, so a symbol's h, and its
+capacity, are float64 results on the drawn levels; a one-link row
+without LOS reads 1 bit within 1e-15.
 
-The phases are drawn link-major, k links x symbols, and handed to the
-formula transposed, so its float64 sums over the links run along
-contiguous memory. A level l is the top bits of one byte of a raw 64-bit
-Philox word for K <= 256, of two bytes for K <= 65536 and of four beyond;
-values >= K are rejected, which makes the draw exactly uniform. Every
-fast-loop and quantized-sum chunk holds about 2^18 phases (1 MB of
-float32), so that its temporaries stay in cache and a row of any length
-needs memory for one chunk only. Each chunk's angles are drawn into a
-fresh float32 array, to which the link phases (or the second level draw)
-are added in place.
+The levels are drawn link-major, k links x symbols, so each link's
+levels are one contiguous row of the chunk. A level l is the top bits of
+one byte of a raw 64-bit Philox word for K <= 256, of two bytes for
+K <= 65536 and of four beyond; values >= K are rejected, which makes the
+draw exactly uniform. Every fast-loop and quantized-sum chunk holds about
+2^18 phases (256 KB of one-byte levels), so that a row of any length
+needs memory for its table and one chunk only: a chunk's channels are
+16 bytes a symbol, 4 MB for a one-link row. `quantized_sum_samples`
+keeps the float32 grid of `_levels`, and float32 cosines.
 """
 from __future__ import annotations
 
@@ -81,7 +83,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Scenario, Scheme, _angle_capacity, _capacity
+from .model import Scenario, Scheme, _capacity
 from .specfun import _like, _nonnegatives, whole_number
 
 __all__ = [
@@ -138,7 +140,9 @@ class McConfig:
     """Simulation protocol: scenario, sample counts on both timescales and
     the seed of the counter-based generator. The work, slow samples times
     the fast samples of the hopping and quantized fast loop (1 for static
-    and perfect, which run none), may be at most 1e10."""
+    and perfect, which run none), may be at most 1e10. A quantized scenario
+    may have at most 256 levels: at 256 the fast loop is continuous hopping
+    to about 1e-88 bits (see the module docstring)."""
 
     scenario: Scenario
     slow_samples: int
@@ -149,6 +153,11 @@ class McConfig:
         for name in ("slow_samples", "fast_samples"):
             object.__setattr__(self, name, whole_number(getattr(self, name), 1, name))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
+        levels = self.scenario.quant_levels
+        if levels is not None and levels > _HOPPING_LEVELS:
+            raise ValueError(
+                f"the simulator takes at most {_HOPPING_LEVELS} quantization levels, "
+                f"where quantized hopping is continuous hopping, got {levels}")
         fast = self.fast_samples if self.scenario.scheme in _FAST_LOOP else 1
         if self.slow_samples * fast > 10**10:
             raise ValueError(
@@ -191,19 +200,16 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK // max(width, 1))
 
 
-def _levels(rng, levels: int, shape) -> np.ndarray:
-    """float32 draws from the phase grid 2*pi*l/levels, l = 0..levels-1, in
-    an array of the given shape.
+def _level_indices(rng, levels: int, shape) -> np.ndarray:
+    """Levels l uniform on 0..levels-1, in an array of the given shape and
+    the smallest unsigned type that holds levels - 1.
 
     l is the top b = (levels - 1).bit_length() bits of each value cut from
-    raw 64-bit words of rng's bit generator in the smallest unsigned type
-    that holds levels - 1: one byte for up to 256 levels, the grid of
-    continuous hopping, two bytes up to 65536 and four beyond (the low end
-    of a word first, on a little-endian machine). Values >= levels are
-    drawn again until they fall below it, so l is exactly uniform; a power
-    of two draws nothing again. At 2^24 levels each uint32 half gives its
-    top 24 bits, which is exactly Generator.random(dtype=float32) *
-    float32(2*pi) on the same words."""
+    raw 64-bit words of rng's bit generator in that type: one byte for up
+    to 256 levels, the grid of continuous hopping, two bytes up to 65536
+    and four beyond (the low end of a word first, on a little-endian
+    machine). Values >= levels are drawn again until they fall below it,
+    so l is exactly uniform; a power of two draws nothing again."""
     dtype = np.min_scalar_type(levels - 1)
     if dtype.kind != "u":
         raise ValueError(f"at most 2^64 levels fit a Philox word, got {levels}")
@@ -222,8 +228,25 @@ def _levels(rng, levels: int, shape) -> np.ndarray:
         while redo.size:
             level[redo] = fresh = draw(redo.size)
             redo = redo[np.flatnonzero(fresh >= levels)]
-    return np.multiply(level.reshape(shape), np.float32(_TWO_PI / levels),
+    return level.reshape(shape)
+
+
+def _levels(rng, levels: int, shape) -> np.ndarray:
+    """float32 draws from the phase grid 2*pi*l/levels, the levels l of
+    `_level_indices` times float32(2*pi/levels). At 2^24 levels each uint32
+    half of a word gives its top 24 bits, which is exactly
+    Generator.random(dtype=float32) * float32(2*pi) on the same words."""
+    return np.multiply(_level_indices(rng, levels, shape), np.float32(_TWO_PI / levels),
                        dtype=np.float32)
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_phasors(levels: int) -> np.ndarray:
+    """The grid phasors e^{2*pi*j*l/levels}, l = 0..levels-1, as a read-only
+    complex128 array, built once per level count."""
+    grid = np.exp(1j * (_TWO_PI / levels) * np.arange(levels))
+    grid.setflags(write=False)
+    return grid
 
 
 def _pairs_for(need: int) -> int:
@@ -337,24 +360,31 @@ def _block(config: McConfig, limits: np.ndarray, b: int):
 def _fast_means(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray, los: np.ndarray,
                 rng, quant_levels: int | None, symbols: int) -> np.ndarray:
     """Mean capacity of each row over `symbols` symbols: its link phasors
-    (laid out as for _static_capacities), taken to float32 phases by one
-    arctan2 over the block, and its LOS phasor los[i] stay fixed, and its
-    surface phases are drawn from rng on the grid of quant_levels levels
-    (256 for continuous hopping, quant_levels None), row after row and a
-    chunk at a time. A chunk's angles are link-major, k x rows, and go to
-    the channel formula transposed, so that its float64 sums over the
-    links run along contiguous memory."""
+    P = c + js (laid out as for _static_capacities) and its LOS phasor
+    los[i] stay fixed, and its surface phases are drawn from rng as levels
+    of the grid of quant_levels levels (256 for continuous hopping,
+    quant_levels None), row after row and a chunk at a time, link-major,
+    k x rows. A symbol's channel is los[i] plus, for each link j, the grid
+    phasor of its level rotated by P_j: one gather per link from the row's
+    table of rotated grid phasors, whose first row carries los[i]."""
     levels = quant_levels or _HOPPING_LEVELS
-    phase = np.arctan2(s, c).astype(np.float32)[:, None]
+    grid = _grid_phasors(levels)
+    phasor = c + 1j * s
     means = np.empty(los.size)
     stop = 0
     for i, k in enumerate(n_avail.tolist()):
-        link, stop = phase[stop : stop + k], stop + k
+        if not k:  # no link: no draw, and every symbol's channel is los[i]
+            means[i] = _capacity(los.real[i], los.imag[i])
+            continue
+        table, stop = np.multiply.outer(phasor[stop : stop + k], grid), stop + k
+        table[0] += los[i]
         rows, total = _chunk_rows(k), 0.0
         for start in range(0, symbols, rows):
-            ang = _levels(rng, levels, (k, min(rows, symbols - start)))
-            ang += link
-            total += float(_angle_capacity(ang.T, los[i]).sum())
+            level = _level_indices(rng, levels, (k, min(rows, symbols - start)))
+            h = table[0].take(level[0], mode="wrap")
+            for link, lev in zip(table[1:], level[1:]):
+                h += link.take(lev, mode="wrap")
+            total += float(_capacity(h.real, h.imag).sum())
         means[i] = total / symbols
     return means
 
@@ -378,12 +408,12 @@ def run(config: McConfig, workers: int = 1) -> McResult:
 
 def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     """Draws of sum_i cos(phi_i + theta_i) with phi uniform and theta on the
-    k_levels-point phase grid, drawn and summed as in the fast loop. phi is
-    drawn as continuous hopping draws it, on the 256-point grid from one byte
-    of a Philox word each, which leaves every moment of the sum of degree
-    below 256 as for a uniform phi. Phases and cosines are float32 and
-    link-major, a chunk at a time, and the sum is float64. The seed is
-    checked as McConfig checks it."""
+    k_levels-point phase grid (any k_levels >= 2). phi's levels are drawn as
+    continuous hopping draws them, on the 256-point grid from one byte of a
+    Philox word each, which leaves every moment of the sum of degree below
+    256 as for a uniform phi. The phases are the float32 grids of `_levels`,
+    link-major and a chunk at a time, their cosines float32 and the sum
+    float64. The seed is checked as McConfig checks it."""
     n = whole_number(n, 1, "n")
     k_levels = whole_number(k_levels, 2, "k_levels")
     samples = whole_number(samples, 1, "samples")

@@ -168,7 +168,9 @@ def marcum_q1(a, b):
     chndtr's flush to 0. Where b - a > 38.7 it is 0, and chndtr, slowest
     there, gets noncentrality 0. Within 1.2e-13 of 40-digit mpmath for
     Q1 >= 1e-20. Each argument is checked by one reduction, and the
-    clamps work in place on the sum."""
+    clamps work in place on the sum. For large a, as at a = b = 1e10 or
+    a = 1.4e150, b = 2.6e75, chndtr and ncx2.sf can both return NaN: that
+    raises ValueError naming the first such (a, b)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for name, v in (("a", a), ("b", b)):
         if not v.min(initial=0.0) >= 0.0:  # NaN fails too
@@ -187,6 +189,11 @@ def marcum_q1(a, b):
         # the only use of scipy.stats, whose import costs 0.7 s
         from scipy import stats
         q[redo] = stats.ncx2.sf(*(np.broadcast_to(v, q.shape)[redo] for v in (b2, 2, a2)))
+        if np.isnan(q).any():  # both can fail for large a
+            first = tuple(np.argwhere(np.isnan(q))[0])
+            at_a, at_b = (float(np.broadcast_to(v, q.shape)[first]) for v in (a, b))
+            raise ValueError(f"marcum_q1 cannot be computed at a={at_a!r}, b={at_b!r}: "
+                             "chndtr and ncx2.sf both return NaN there")
     return float(q) if q.ndim == 0 else q
 
 

@@ -166,6 +166,19 @@ class TestMc:
         np.testing.assert_allclose(vals, montecarlo.run(cfg).per_slow_capacity,
                                    rtol=1e-15)
 
+    def test_quantized_level_cap(self, capsys, tmp_path):
+        # the simulator takes at most 256 levels; analytic commands take more
+        f = tmp_path / "q.csv"
+        args = ["mc", "--n", "4", "--p", "0.5", "--scheme", "quantized",
+                "--slow", "5", "--fast", "10", "--out", str(f)]
+        assert run_cli(capsys, *args, "--k", "257") == (
+            2, "", "error: the simulator takes at most 256 quantization levels, where "
+                   "quantized hopping is continuous hopping, got 257\n")
+        assert not f.exists()
+        assert run_cli(capsys, *args, "--k", "256")[0] == 0
+        assert run_cli(capsys, "outage", "--n", "4", "--p", "0.5", "--scheme", "quantized",
+                       "--k", "257", "--rate", "1")[0] == 0
+
 
 class TestFigure:
     def test_emits_files(self, capsys, tmp_path):
@@ -436,6 +449,17 @@ class TestErrors:
             2, "", "error: argument --links: invalid int value: 'x'\n")
         assert run_cli(capsys, "capacity", "--links", "6", "--a", "2",
                        "--method", "exact") == (0, "2.9712\n", "")
+
+    @pytest.mark.parametrize("args", [("outage", "--rate", "500"),
+                                      ("eps-capacity", "--eps", "0.1")])
+    def test_marcum_nan(self, capsys, args):
+        # static LOS outage at a = 1e150 printed nan with exit 0, and
+        # eps-capacity gave scipy's message on a NaN function value
+        code, out, err = run_cli(capsys, args[0], "--n", "3", "--p", "0.5", "--a", "1e150",
+                                 "--scheme", "static", *args[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: marcum_q1 cannot be computed at a=1.41421356")
+        assert len(err.splitlines()) == 1
 
     def test_missing_scenario(self, capsys):
         code, _, err = run_cli(capsys, "eps-capacity", "--eps", "0.1")

@@ -291,7 +291,7 @@ class TestPrecision:
 
     @pytest.mark.parametrize("k", [0, 1, 10, 50])
     def test_link_major_theta_same_bits(self, k):
-        # the fast loop passes link-major theta transposed, so column-major
+        # a link-major draw, passed transposed, is column-major
         rng = np.random.default_rng(k)
         phi = rng.uniform(0, 2 * np.pi, k)
         theta = (rng.random((k, 4096), dtype=np.float32) * np.float32(2 * np.pi)).T

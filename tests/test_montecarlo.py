@@ -19,6 +19,7 @@ from phasehop.montecarlo import (
     _HOPPING_LEVELS,
     _chunk_rows,
     _fast_means,
+    _level_indices,
     _levels,
     _link_limits,
     _pairs_for,
@@ -52,6 +53,16 @@ class TestMcConfig:
         with pytest.raises(ValueError, match="^20000000 x 1000 samples exceed the 1e10 "
                            "work guard$"):
             McConfig(Scenario(20, 0.5, scheme=scheme, quant_levels=levels), 2 * 10**7, 1000)
+
+    @pytest.mark.parametrize("levels", [257, 1000, 2**64 + 1])
+    def test_quantized_level_cap(self, levels):
+        # 256 levels are continuous hopping to about 1e-88 bits; more would
+        # only grow the fast loop's tables. The scenario itself takes them
+        sc = Scenario(4, 0.5, scheme="quantized", quant_levels=levels)
+        with pytest.raises(ValueError, match=f"^the simulator takes at most 256 "
+                           f"quantization levels, .* got {levels}$"):
+            McConfig(sc, 10, 10)
+        McConfig(Scenario(4, 0.5, scheme="quantized", quant_levels=256), 10, 10)
 
     def test_sample_bounds(self):
         sc = Scenario(4, 0.5)
@@ -190,7 +201,10 @@ class TestDeterminism:
     ])
     def test_hopping_is_quantized_on_the_float32_grid(self, a, n, p, fast):
         # continuous hopping draws its phases as 2^8 quantized levels, the
-        # float32 angles 2 pi l/256 from one byte of a Philox word each
+        # levels l of the grid 2 pi l/256 from one byte of a Philox word
+        # each, and rotates its link phasors by the same table of grid
+        # phasors (the float32 grid of the name is what the fast loop drew
+        # before it took phasors from the table)
         hop, quant = (run(McConfig(Scenario(n, p, a, scheme, quant_levels=k), 20, fast, 13))
                       for scheme, k in ((Scheme.HOPPING, None), (Scheme.QUANTIZED, 2**8)))
         np.testing.assert_array_equal(hop.per_slow_capacity, quant.per_slow_capacity)
@@ -375,6 +389,15 @@ class TestSchemes:
             sigma = np.sqrt(max(ana * (1 - ana), 1e-9) / 20000)
             assert abs(emp - ana) <= 3 * sigma + 1e-3
 
+    @pytest.mark.parametrize("scheme, k", [(Scheme.HOPPING, None), (Scheme.QUANTIZED, 2),
+                                           (Scheme.QUANTIZED, 5)])
+    def test_one_link_nlos_is_one_bit(self, scheme, k):
+        # one unit phasor and no LOS: |h| = 1 on every symbol, log2(2) = 1 bit.
+        # A fast loop of float32 angles and cos/sin read 5.8e-9 to 4.9e-8 off
+        res = run(McConfig(Scenario(1, 1.0, 0.0, scheme, quant_levels=k), 300, 2000, 41))
+        assert res.n_avail.tolist() == [1] * 300
+        assert np.max(np.abs(res.per_slow_capacity - 1.0)) <= 1e-14
+
     def test_quantized_runs(self):
         sc = Scenario(16, 0.5, scheme=Scheme.QUANTIZED, quant_levels=2)
         caps = run(McConfig(sc, 30, 200, seed=4)).per_slow_capacity
@@ -492,20 +515,23 @@ class TestUnitPhasors:
 class TestFastLoop:
     @staticmethod
     def _reference_mean(rng, phi, los, levels, symbols):
-        # the same chunks, drawn afresh and handed to symbol_capacity
+        # the same chunks of integer levels, drawn afresh, and each symbol's
+        # channel by symbol_capacity's float64 formula on the float64 angles
+        # phi + 2 pi l / levels
         rows, total = _chunk_rows(phi.size), 0.0
         for start in range(0, symbols, rows):
-            theta = _levels(rng, levels, (phi.size, min(rows, symbols - start)))
-            total += float(symbol_capacity(phi, theta.T, los).sum())
+            level = _level_indices(rng, levels, (phi.size, min(rows, symbols - start)))
+            theta = level.T * (2 * np.pi / levels)
+            total += float(symbol_capacity(phi, theta, los).sum())
         return total / symbols
 
     @pytest.mark.parametrize("levels", [_HOPPING_LEVELS, 5])
     @pytest.mark.parametrize("a", [0.0, 1.5])
     def test_work_arrays_match_symbol_capacity(self, a, levels):
-        # one block: every link first, so that the later rows find the
-        # work arrays dirty; then no link, one link, and three links, whose
-        # row is three chunks, the last of odd length. The link phases are
-        # the arctan2 of the phasors over the block
+        # one block: every link first, so that the later rows follow a full
+        # one; then no link, one link, and three links, whose row is three
+        # chunks, the last of odd length. The reference reads the link
+        # phases as the arctan2 of the phasors
         n, symbols = 12, 2 * _chunk_rows(3) + 5
         key = np.array([levels, int(10 * a)], dtype=np.uint64)
         rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
@@ -515,13 +541,25 @@ class TestFastLoop:
         los = a * np.exp(1j * (0.7 + np.arange(4)))
         means = _fast_means(c, s, n_avail, los, rng, levels, symbols)
         phase, stops = np.arctan2(s, c), np.cumsum(n_avail)
-        ref = [self._reference_mean(twin, phase[stop - k : stop], los[i], levels, symbols)
-               for i, (stop, k) in enumerate(zip(stops, n_avail))]
-        np.testing.assert_array_equal(means, ref)
+        ref = np.array([
+            self._reference_mean(twin, phase[stop - k : stop], los[i], levels, symbols)
+            for i, (stop, k) in enumerate(zip(stops, n_avail))])
+        # both draw the same levels: the twin stream ends where rng does
+        np.testing.assert_array_equal(rng.bit_generator.random_raw(4),
+                                      twin.bit_generator.random_raw(4))
+        # both channels are float64 sums of k phasors, each a few ulps off
+        # the exact one; log2(1 + |h|^2) moves by at most 1/ln 2 times
+        # |h|'s error. The bound allows 8 eps a phasor and k eps a partial
+        # sum of size up to a + k, with a factor of two to spare, and 4 ulps
+        # for the two averages (the row without links is exact here)
+        eps = np.finfo(float).eps
+        bound = 2 / np.log(2) * n_avail * (8 + a + n_avail) * eps + 4 * np.spacing(ref)
+        assert np.all(np.abs(means - ref) <= bound)
 
     def test_memory_bounded_by_the_chunk(self):
         # one always-on row of 64 links and 10^6 symbols is 6.4e7 phases,
-        # 256 MB as one float32 array; chunk by chunk it peaks near 2.3 MB
+        # 64 MB of one-byte levels as one array; chunk by chunk it peaks
+        # near 0.9 MB
         config = McConfig(Scenario(64, 1.0), 1, 10**6, 3)
         run(McConfig(Scenario(64, 1.0), 1, 10, 3))  # imports and caches outside
         tracemalloc.start()

@@ -155,6 +155,18 @@ class TestMarcumQ1:
             with pytest.raises(ValueError):
                 marcum_q1(a, b)
 
+    @pytest.mark.parametrize("a, b, first", [
+        (1e150, 1e150, (1e150, 1e150)),
+        (1e10, [5.0, 1e10, 1e150], (1e10, 1e10)),
+        ([[1.0, 1.4e150]], [[2.0], [1.4e150], [2.6e75]], (1.4e150, 1.4e150))])
+    def test_nan_raises(self, a, b, first):
+        # chndtr and ncx2.sf both return NaN for large a; the NaN was
+        # returned, and static LOS outage printed nan with exit 0
+        with pytest.raises(ValueError) as err:
+            marcum_q1(a, b)
+        assert str(err.value) == (f"marcum_q1 cannot be computed at a={first[0]!r}, "
+                                  f"b={first[1]!r}: chndtr and ncx2.sf both return NaN there")
+
     def test_array_matches_scalar(self):
         a = np.array([0.0, 0.0, 1.0, 2.5, 7.5, 3.0854653137332613])
         b = np.array([[0.0], [0.5], [3.0], [37.017860864649144], [1e200], [np.inf]])
