@@ -103,7 +103,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser):
     p.add_argument("--a", type=float, help="LOS amplitude (0 = NLOS)")
     p.add_argument("--scheme", choices=[s.value for s in Scheme])
     p.add_argument("--k", type=int,
-                   help="quantization levels (mc takes at most 256)")
+                   help="quantization levels (mc and the cosine-histogram figure take "
+                   "at most 256)")
 
 
 def _cmd_capacity(args) -> int:

@@ -153,28 +153,18 @@ def symbol_capacity(phi, theta, los: complex = 0.0) -> np.ndarray:
     h = los + sum_i exp(j*(phi_i + theta_i)) is the effective channel over
     the k active links: phi holds their k channel phases, theta an m x k
     array of per-symbol surface phases and los the LOS phasor
-    a*exp(j*phi_0).
-
-    The precision follows theta: float32 theta takes phi to float32 and
-    does the angles and their cos/sin in float32 (numpy's SIMD path),
-    summing into float64; any other theta is taken as float64.
-
-    The layout follows theta too: numpy keeps a column-major theta (the
-    transpose of a link-major k x m array) column-major through the angles
-    and cos/sin, so the sums over the links run along contiguous memory.
-    The result has the same bits for either layout.
+    a*exp(j*phi_0). phi and theta are taken as float64, whatever their
+    dtype.
     """
-    theta = np.asarray(theta)
-    if theta.dtype != np.float32:
-        theta = theta.astype(float, copy=False)
-    phi = np.asarray(phi, dtype=theta.dtype)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or theta.ndim != 2 or theta.shape[1] != phi.size:
         raise ValueError(
             f"theta of shape {theta.shape} does not match {phi.size} link phases"
         )
     ang = phi[None, :] + theta
-    re = np.cos(ang).sum(axis=1, dtype=float)
-    im = np.sin(ang, out=ang).sum(axis=1, dtype=float)
+    re = np.cos(ang).sum(axis=1)
+    im = np.sin(ang, out=ang).sum(axis=1)
     return _capacity(los.real + re, los.imag + im)
 
 

@@ -38,7 +38,7 @@ P = c + js.
 The fast loop draws its surface phases as integer levels l of the grid
 2*pi*l/K: the quantized scheme's K, or K = 256 for continuous hopping, so
 that each phase costs one byte of a raw 64-bit Philox word. 256 levels
-lose nothing the loop can see, and `McConfig` takes at most 256
+lose nothing the loop can see, so the simulator takes at most 256
 quantized levels. Given the slow phases, the fast-loop mean averages,
 link by link, a periodic function of the surface phase: with A the rest
 of the channel, 1 + |A + e^{jz}|^2 = 2 + |A|^2 + 2|A|cos z has no zero,
@@ -65,13 +65,15 @@ without LOS reads 1 bit within 1e-15.
 
 The levels are drawn link-major, k links x symbols, so each link's
 levels are one contiguous row of the chunk. A level l is the top bits of
-one byte of a raw 64-bit Philox word for K <= 256, of two bytes for
-K <= 65536 and of four beyond; values >= K are rejected, which makes the
-draw exactly uniform. Every fast-loop and quantized-sum chunk holds about
-2^18 phases (256 KB of one-byte levels), so that a row of any length
-needs memory for its table and one chunk only: a chunk's channels are
-16 bytes a symbol, 4 MB for a one-link row. `quantized_sum_samples`
-keeps the float32 grid of `_levels`, and float32 cosines.
+one byte of a raw 64-bit Philox word, and values >= K are rejected,
+which makes the draw exactly uniform. One byte holds every grid the
+simulator takes: `McConfig` and `quantized_sum_samples` share one check,
+`_checked_levels`, that refuses K above 256. Every fast-loop and
+quantized-sum chunk holds about 2^18 phases (256 KB of one-byte levels),
+so that a row of any length needs memory for its table and one chunk
+only: a chunk's channels are 16 bytes a symbol, 4 MB for a one-link row.
+`quantized_sum_samples` keeps the float32 grid of `_levels`, and float32
+cosines.
 """
 from __future__ import annotations
 
@@ -79,7 +81,7 @@ import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,6 +110,16 @@ def _checked_seed(seed) -> int:
     if seed >= 2**64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return seed
+
+
+def _checked_levels(levels: int | None) -> int | None:
+    """levels, None or a whole number >= 2, if the simulator takes it: at
+    most 256, where quantized hopping is continuous hopping."""
+    if levels is not None and levels > _HOPPING_LEVELS:
+        raise ValueError(
+            f"the simulator takes at most {_HOPPING_LEVELS} quantization levels, "
+            f"where quantized hopping is continuous hopping, got {levels}")
+    return levels
 
 
 class _ThreadGenerator(threading.local):
@@ -153,11 +165,7 @@ class McConfig:
         for name in ("slow_samples", "fast_samples"):
             object.__setattr__(self, name, whole_number(getattr(self, name), 1, name))
         object.__setattr__(self, "seed", _checked_seed(self.seed))
-        levels = self.scenario.quant_levels
-        if levels is not None and levels > _HOPPING_LEVELS:
-            raise ValueError(
-                f"the simulator takes at most {_HOPPING_LEVELS} quantization levels, "
-                f"where quantized hopping is continuous hopping, got {levels}")
+        _checked_levels(self.scenario.quant_levels)
         fast = self.fast_samples if self.scenario.scheme in _FAST_LOOP else 1
         if self.slow_samples * fast > 10**10:
             raise ValueError(
@@ -172,7 +180,6 @@ class McResult:
     per_slow_capacity: np.ndarray
     n_avail: np.ndarray
     config: McConfig
-    _sorted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cap = np.asarray(self.per_slow_capacity, dtype=float)
@@ -185,7 +192,6 @@ class McResult:
             raise ValueError(f"n_avail needs one link count in [0, {n}] per capacity")
         object.__setattr__(self, "per_slow_capacity", cap)
         object.__setattr__(self, "n_avail", links)
-        object.__setattr__(self, "_sorted", np.sort(cap))
 
     def outage_at(self, rates) -> float | np.ndarray:
         """Empirical outage Pr(C_erg < R): strict left counts at each rate,
@@ -194,6 +200,11 @@ class McResult:
         x, scalar = _nonnegatives(rates, "rate")
         return _like(self._sorted.searchsorted(x, side="left") / self._sorted.size, scalar)
 
+    @functools.cached_property
+    def _sorted(self) -> np.ndarray:
+        # sorted on the first outage_at call: most results never read it
+        return np.sort(self.per_slow_capacity)
+
 
 def _chunk_rows(width: int) -> int:
     """Rows of `width` phases that fill one chunk (at least one row)."""
@@ -201,24 +212,19 @@ def _chunk_rows(width: int) -> int:
 
 
 def _level_indices(rng, levels: int, shape) -> np.ndarray:
-    """Levels l uniform on 0..levels-1, in an array of the given shape and
-    the smallest unsigned type that holds levels - 1.
+    """Levels l uniform on 0..levels-1, 2 <= levels <= 256, in a uint8
+    array of the given shape.
 
-    l is the top b = (levels - 1).bit_length() bits of each value cut from
-    raw 64-bit words of rng's bit generator in that type: one byte for up
-    to 256 levels, the grid of continuous hopping, two bytes up to 65536
-    and four beyond (the low end of a word first, on a little-endian
-    machine). Values >= levels are drawn again until they fall below it,
-    so l is exactly uniform; a power of two draws nothing again."""
-    dtype = np.min_scalar_type(levels - 1)
-    if dtype.kind != "u":
-        raise ValueError(f"at most 2^64 levels fit a Philox word, got {levels}")
-    shift = dtype.type(8 * dtype.itemsize - (levels - 1).bit_length())
+    l is the top (levels - 1).bit_length() bits of one byte cut from raw
+    64-bit words of rng's bit generator (the low byte of a word first, on
+    a little-endian machine). Values >= levels are drawn again until they
+    fall below it, so l is exactly uniform; a power of two draws nothing
+    again."""
+    shift = 8 - (levels - 1).bit_length()
 
     def draw(count):
-        words = rng.bit_generator.random_raw(-(-count * dtype.itemsize // 8))
-        values = words.view(dtype)[:count]
-        if shift:  # 256, 65536 and 2^32 levels take whole values
+        values = rng.bit_generator.random_raw(-(-count // 8)).view(np.uint8)[:count]
+        if shift:  # 256 levels take whole bytes
             values >>= shift
         return values
 
@@ -233,9 +239,7 @@ def _level_indices(rng, levels: int, shape) -> np.ndarray:
 
 def _levels(rng, levels: int, shape) -> np.ndarray:
     """float32 draws from the phase grid 2*pi*l/levels, the levels l of
-    `_level_indices` times float32(2*pi/levels). At 2^24 levels each uint32
-    half of a word gives its top 24 bits, which is exactly
-    Generator.random(dtype=float32) * float32(2*pi) on the same words."""
+    `_level_indices` times float32(2*pi/levels)."""
     return np.multiply(_level_indices(rng, levels, shape), np.float32(_TWO_PI / levels),
                        dtype=np.float32)
 
@@ -408,14 +412,15 @@ def run(config: McConfig, workers: int = 1) -> McResult:
 
 def quantized_sum_samples(n: int, k_levels: int, samples: int, seed: int = 0):
     """Draws of sum_i cos(phi_i + theta_i) with phi uniform and theta on the
-    k_levels-point phase grid (any k_levels >= 2). phi's levels are drawn as
-    continuous hopping draws them, on the 256-point grid from one byte of a
-    Philox word each, which leaves every moment of the sum of degree below
-    256 as for a uniform phi. The phases are the float32 grids of `_levels`,
-    link-major and a chunk at a time, their cosines float32 and the sum
-    float64. The seed is checked as McConfig checks it."""
+    k_levels-point phase grid, 2 <= k_levels <= 256 as McConfig takes them.
+    phi's levels are drawn as continuous hopping draws them, on the
+    256-point grid from one byte of a Philox word each, which leaves every
+    moment of the sum of degree below 256 as for a uniform phi, whatever
+    theta's grid. The phases are the float32 grids of `_levels`, link-major
+    and a chunk at a time, their cosines float32 and the sum float64. The
+    seed is checked as McConfig checks it."""
     n = whole_number(n, 1, "n")
-    k_levels = whole_number(k_levels, 2, "k_levels")
+    k_levels = _checked_levels(whole_number(k_levels, 2, "k_levels"))
     samples = whole_number(samples, 1, "samples")
     rng = _stream(_checked_seed(seed), 0)
     out = np.empty(samples)

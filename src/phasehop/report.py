@@ -12,6 +12,7 @@ in the same place.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -116,12 +117,14 @@ def _build_erg_cap_los(p):
     return {"n": ns, "analytic": ana, "mc": mc}
 
 
-def _build_out_hopping(p):
+def _build_outage_per_p(scheme, prefix, p):
+    """The outage of `scheme` at each link probability in p_values: the
+    analytic column `{prefix}_p...` and the simulated one `mc_p...`."""
     rates = _rate_grid(p["n"], p["points"])
     cols = {"rate": rates}
     for prob in p["p_values"]:
-        sc = Scenario(p["n"], prob, p.get("a", 0.0), Scheme.HOPPING)
-        cols[f"analytic_p{prob:g}"] = analytic.outage(sc, rates)
+        sc = Scenario(p["n"], prob, p.get("a", 0.0), scheme)
+        cols[f"{prefix}_p{prob:g}"] = analytic.outage(sc, rates)
         cols[f"mc_p{prob:g}"] = montecarlo.run(_config(sc, p)).outage_at(rates)
     return cols
 
@@ -160,16 +163,6 @@ def _build_quantized_sweep(p):
     return cols
 
 
-def _build_static_nlos(p):
-    rates = _rate_grid(p["n"], p["points"])
-    cols = {"rate": rates}
-    for prob in p["p_values"]:
-        sc = Scenario(p["n"], prob, 0.0, Scheme.STATIC)
-        cols[f"approx_p{prob:g}"] = analytic.outage(sc, rates)
-        cols[f"mc_p{prob:g}"] = montecarlo.run(_config(sc, p)).outage_at(rates)
-    return cols
-
-
 def _build_scheme_comparison(p):
     rates = _rate_grid(p["n"], p["points"])
     cols = {"rate": rates}
@@ -193,6 +186,9 @@ def _build_cosine_histogram(p):
         cols[f"normal_n{n}"] = np.exp(-centers**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
     return cols
 
+
+_build_out_hopping = functools.partial(_build_outage_per_p, Scheme.HOPPING, "analytic")
+_build_static_nlos = functools.partial(_build_outage_per_p, Scheme.STATIC, "approx")
 
 _FIGURES = {  # each figure's builder and its original parameters
     FigureId.ERG_CAP_COMPARE: (_build_erg_cap_compare, {"n_max": 50}),

@@ -233,6 +233,9 @@ class TestFigure:
         # an OverflowError traceback from the capacity rule
         ("erg-cap-los", '{"a": 1e308, "n": 2, "slow": 10, "fast": 10}',
          "a must be at most 215 for the capacity rule, got 1e+308"),
+        # the simulator's level cap, as for mc --k 257
+        ("cosine-histogram", '{"k": 257}', "the simulator takes at most 256 quantization "
+         "levels, where quantized hopping is continuous hopping, got 257"),
     ])
     def test_override_of_wrong_type(self, capsys, tmp_path, fid, overrides, message):
         code, out, err = run_cli(capsys, "figure", "--id", fid, "--out-dir", str(tmp_path),
