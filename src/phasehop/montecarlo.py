@@ -36,15 +36,17 @@ bit. The fast loop reads the same draws as complex link phasors
 P = c + js.
 
 The fast loop draws its surface phases as integer levels l of the grid
-2*pi*l/K: the quantized scheme's K, or K = 256 for continuous hopping, so
-that each phase costs one byte of a raw 64-bit Philox word. 256 levels
-lose nothing the loop can see, so the simulator takes at most 256
-quantized levels. Given the slow phases, the fast-loop mean averages,
-link by link, a periodic function of the surface phase: with A the rest
-of the channel, 1 + |A + e^{jz}|^2 = 2 + |A|^2 + 2|A|cos z has no zero,
-and stays off the log's branch cut, for |Im z| < acosh(sqrt 2) ~ 0.881,
-whatever A is. Averaging it over a K-point grid is the trapezoid rule on
-a function analytic in that strip, so it errs by O(exp(-0.881 K))
+2*pi*l/K: the quantized scheme's K, or K = 256 for continuous hopping.
+One byte of a raw 64-bit Philox word holds the levels of a group of
+g = floor(log_K 256) links, so a hopping phase costs one byte and a
+K = 2 phase one bit. 256 levels lose nothing the loop can see, so the
+simulator takes at most 256 quantized levels. Given the slow phases, the
+fast-loop mean averages, link by link, a periodic function of the
+surface phase: with A the rest of the channel,
+1 + |A + e^{jz}|^2 = 2 + |A|^2 + 2|A|cos z has no zero, and stays off
+the log's branch cut, for |Im z| < acosh(sqrt 2) ~ 0.881, whatever A is.
+Averaging it over a K-point grid is the trapezoid rule on a function
+analytic in that strip, so it errs by O(exp(-0.881 K))
 (Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
 SIAM Review 56, 2014): at K = 256 the mean of a slow sample's fast loop
 given its slow phases equals the continuous-phase mean within about
@@ -54,24 +56,34 @@ given n links is C(n, a), whatever the slow phases; the loop adds only
 noise to that table and serves as its independent cross-check.
 
 A symbol's channel is h = los + sum_j P_j W[l_j] in complex128, with W
-the cached table of the K grid phasors e^{2*pi*j*l/K}: each row builds
-its k x K table of rotated phasors P_j W once (16 k K bytes, 4 KB a link
-at K = 256), adds its LOS phasor to the first link's, and gathers one
-table row per link by that link's levels. No angle, cos or sin is taken
-per symbol, and `model._capacity` reads h. Each product P_j W[l] is
-within a few ulps of the exact phasor, so a symbol's h, and its
+the cached table of the K grid phasors e^{2*pi*j*l/K}. A row's k links
+go in ceil(k/g) groups of g links, in link order, with g the largest
+such that K^g <= 256 (`_group_size`: 8 at K = 2, 2 from 7 to 16, 1 from
+17 up), and zero links fill the last group. Each row computes its
+rotated phasors P_j W once, adds its LOS phasor to the first link's, and
+sums them into one table of K^g entries per group (at most 256
+entries, 4 KB). A symbol costs one gather per group, by the group's
+drawn level, and ceil(k/g) - 1 adds. No angle, cos or sin is
+taken per symbol, and `model._capacity` reads h. Each product P_j W[l]
+is within a few ulps of the exact phasor, so a symbol's h, and its
 capacity, are float64 results on the drawn levels; a one-link row
-without LOS reads 1 bit within 1e-15.
+without LOS reads 1 bit within 1e-15. At g = 1 (hopping, and K >= 17) a
+group is one link and its table that link's K rotated phasors (4 KB a
+link at K = 256).
 
-The levels are drawn link-major, k links x symbols, so each link's
-levels are one contiguous row of the chunk. A level l is the top bits of
-one byte of a raw 64-bit Philox word, and values >= K are rejected,
-which makes the draw exactly uniform. One byte holds every grid the
-simulator takes: `McConfig` and `quantized_sum_samples` share one check,
-`_checked_levels`, that refuses K above 256. Every fast-loop and
-quantized-sum chunk holds about 2^18 phases (256 KB of one-byte levels),
-so that a row of any length needs memory for its table and one chunk
-only: a chunk's channels are 16 bytes a symbol, 4 MB for a one-link row.
+The levels are drawn group-major, ceil(k/g) groups x symbols, so each
+group's levels are one contiguous row of the chunk, and a chunk makes one
+draw, ceil(k/g) gathers and ceil(k/g) - 1 adds. A level is the top bits
+of one byte of a raw 64-bit Philox word, and values >= K^g are rejected,
+which makes the draw exactly uniform on 0..K^g - 1; its g base-K digits,
+the first link's most significant, are then independent uniform levels
+of the group's links (a zero link's digit is drawn and not read). One
+byte holds every grid the simulator takes: `McConfig` and
+`quantized_sum_samples` share one check, `_checked_levels`, that refuses
+K above 256. Every fast-loop and quantized-sum chunk holds about 2^18
+phases (at most 256 KB of one-byte levels), so that a row of any length
+needs memory for its tables and one chunk only: a chunk's channels are
+16 bytes a symbol, 4 MB for a one-link row.
 `quantized_sum_samples` keeps the float32 grid of `_levels`, and float32
 cosines.
 """
@@ -173,9 +185,11 @@ class McConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class McResult:
-    """Per-slow-sample ergodic capacities in bits and available link counts."""
+    """Per-slow-sample ergodic capacities in bits and available link counts.
+    Results compare and hash by identity: the generated field-tuple __eq__
+    would compare arrays, whose truth value numpy refuses."""
 
     per_slow_capacity: np.ndarray
     n_avail: np.ndarray
@@ -361,17 +375,33 @@ def _block(config: McConfig, limits: np.ndarray, b: int):
             n_avail)
 
 
+def _group_size(levels: int) -> int:
+    """Links whose levels one drawn byte holds: the largest g with
+    levels^g <= 256, so 8 at 2 levels, 2 from 7 to 16 and 1 from 17 up."""
+    return max(g for g in range(1, 9) if levels**g <= _HOPPING_LEVELS)
+
+
 def _fast_means(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray, los: np.ndarray,
                 rng, quant_levels: int | None, symbols: int) -> np.ndarray:
     """Mean capacity of each row over `symbols` symbols: its link phasors
     P = c + js (laid out as for _static_capacities) and its LOS phasor
     los[i] stay fixed, and its surface phases are drawn from rng as levels
-    of the grid of quant_levels levels (256 for continuous hopping,
-    quant_levels None), row after row and a chunk at a time, link-major,
-    k x rows. A symbol's channel is los[i] plus, for each link j, the grid
-    phasor of its level rotated by P_j: one gather per link from the row's
-    table of rotated grid phasors, whose first row carries los[i]."""
+    of the grid of K = quant_levels levels (256 for continuous hopping,
+    quant_levels None), row after row and a chunk at a time.
+
+    A row's k links go in ceil(k/g) groups of g = `_group_size(K)`, in
+    link order, and zero links fill the last group. One level on
+    0..K^g - 1 stands for a group's links: its base-K digits, the first
+    link's most significant, are their levels, each uniform on 0..K-1 and
+    independent. Each row sums its rotated grid phasors P_j W, the first
+    link's plus los[i], into one table of K^g entries per group: entry
+    l_0 K^(g-1) + ... + l_(g-1) holds ((P_0 W[l_0] + P_1 W[l_1]) + ...),
+    added in link order. A chunk draws the levels group-major, groups x
+    rows, and a symbol's channel is one gather per group, summed. At g = 1
+    (hopping, and K >= 17) a group is a link and its table P_j W."""
     levels = quant_levels or _HOPPING_LEVELS
+    group = _group_size(levels)
+    cells = levels**group
     grid = _grid_phasors(levels)
     phasor = c + 1j * s
     means = np.empty(los.size)
@@ -380,14 +410,21 @@ def _fast_means(c: np.ndarray, s: np.ndarray, n_avail: np.ndarray, los: np.ndarr
         if not k:  # no link: no draw, and every symbol's channel is los[i]
             means[i] = _capacity(los.real[i], los.imag[i])
             continue
-        table, stop = np.multiply.outer(phasor[stop : stop + k], grid), stop + k
-        table[0] += los[i]
+        link, stop = phasor[stop : stop + k], stop + k
+        if k % group:  # zero links fill the last group
+            link = np.concatenate((link, np.zeros(-k % group)))
+        rotated = np.multiply.outer(link, grid)
+        rotated[0] += los[i]
+        rotated = rotated.reshape(-1, group, levels)
+        table = rotated[:, 0]
+        for j in range(1, group):
+            table = np.add(table[:, :, None], rotated[:, j, None, :]).reshape(len(table), -1)
         rows, total = _chunk_rows(k), 0.0
         for start in range(0, symbols, rows):
-            level = _level_indices(rng, levels, (k, min(rows, symbols - start)))
+            level = _level_indices(rng, cells, (len(table), min(rows, symbols - start)))
             h = table[0].take(level[0], mode="wrap")
-            for link, lev in zip(table[1:], level[1:]):
-                h += link.take(lev, mode="wrap")
+            for row, lev in zip(table[1:], level[1:]):
+                h += row.take(lev, mode="wrap")
             total += float(_capacity(h.real, h.imag).sum())
         means[i] = total / symbols
     return means

@@ -1,5 +1,5 @@
-"""tools/digest.py runs, prints every family, and a fresh interpreter
-gives the Monte-Carlo digest of this one."""
+"""tools/digest.py runs, prints a line for every family, and a fresh
+interpreter gives each Monte-Carlo line of this one."""
 import importlib.util
 import pathlib
 import re
@@ -15,7 +15,11 @@ def test_fresh_process_prints_every_family():
     spec.loader.exec_module(digest)
     done = subprocess.run([sys.executable, str(SCRIPT)], capture_output=True, text=True,
                           check=True, timeout=60)
-    lines = [line.split(" ") for line in done.stdout.splitlines()]
-    assert [name for name, _ in lines] == list(digest.FAMILIES)
-    assert all(re.fullmatch("[0-9a-f]{64}", value) for _, value in lines)
-    assert dict(lines)["montecarlo"] == digest.FAMILIES["montecarlo"]()
+    lines = dict(line.split(" ") for line in done.stdout.splitlines())
+    families = [name.split(".")[0] for name in lines]
+    assert sorted(set(families), key=families.index) == list(digest.FAMILIES)
+    assert all(re.fullmatch("[0-9a-f]{64}", value) for value in lines.values())
+    assert {f"figures.{fid}" for fid in ("out-quantized", "cosine-histogram")} <= set(lines)
+    montecarlo = digest.FAMILIES["montecarlo"]()
+    assert len(montecarlo) == 9
+    assert {name: lines[name] for name in montecarlo} == montecarlo

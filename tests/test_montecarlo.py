@@ -19,6 +19,7 @@ from phasehop.montecarlo import (
     _HOPPING_LEVELS,
     _chunk_rows,
     _fast_means,
+    _group_size,
     _level_indices,
     _levels,
     _link_limits,
@@ -519,23 +520,31 @@ class TestUnitPhasors:
 class TestFastLoop:
     @staticmethod
     def _reference_mean(rng, phi, los, levels, symbols):
-        # the same chunks of integer levels, drawn afresh, and each symbol's
-        # channel by symbol_capacity's float64 formula on the float64 angles
-        # phi + 2 pi l / levels
-        rows, total = _chunk_rows(phi.size), 0.0
+        # the same chunks of levels, drawn afresh as one level on
+        # 0..levels^g - 1 per group of g links and split into its g base-K
+        # digits, the first link's most significant (the last group's
+        # digits past the row's links are dropped), and each symbol's
+        # channel by symbol_capacity's float64 formula on the float64
+        # angles phi + 2 pi l / levels
+        k, group = phi.size, _group_size(levels)
+        powers = levels ** np.arange(group - 1, -1, -1)
+        rows, total = _chunk_rows(k), 0.0
         for start in range(0, symbols, rows):
-            level = _level_indices(rng, levels, (phi.size, min(rows, symbols - start)))
+            m = min(rows, symbols - start)
+            cells = _level_indices(rng, levels**group, (-(-k // group), m)).astype(np.int64)
+            level = (cells[:, None, :] // powers[:, None] % levels).reshape(-1, m)[:k]
             theta = level.T * (2 * np.pi / levels)
             total += float(symbol_capacity(phi, theta, los).sum())
         return total / symbols
 
-    @pytest.mark.parametrize("levels", [_HOPPING_LEVELS, 5])
+    @pytest.mark.parametrize("levels", [_HOPPING_LEVELS, 2, 3, 5])
     @pytest.mark.parametrize("a", [0.0, 1.5])
     def test_work_arrays_match_symbol_capacity(self, a, levels):
         # one block: every link first, so that the later rows follow a full
         # one; then no link, one link, and three links, whose row is three
-        # chunks, the last of odd length. The reference reads the link
-        # phases as the arctan2 of the phasors
+        # chunks, the last of odd length. The 12-link row is 8 + 4 links
+        # at 2 levels, 5 + 5 + 2 at 3 and 3 x 4 at 5. The reference reads
+        # the link phases as the arctan2 of the phasors
         n, symbols = 12, 2 * _chunk_rows(3) + 5
         key = np.array([levels, int(10 * a)], dtype=np.uint64)
         rng, twin = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
@@ -559,6 +568,11 @@ class TestFastLoop:
         eps = np.finfo(float).eps
         bound = 2 / np.log(2) * n_avail * (8 + a + n_avail) * eps + 4 * np.spacing(ref)
         assert np.all(np.abs(means - ref) <= bound)
+
+    def test_group_size(self):
+        # the most links whose levels one byte holds: K^g <= 256
+        sizes = {levels: _group_size(levels) for levels in (2, 3, 4, 5, 6, 7, 16, 17, 256)}
+        assert sizes == {2: 8, 3: 5, 4: 4, 5: 3, 6: 3, 7: 2, 16: 2, 17: 1, 256: 1}
 
     def test_memory_bounded_by_the_chunk(self):
         # one always-on row of 64 links and 10^6 symbols is 6.4e7 phases,
@@ -638,6 +652,15 @@ class TestMcResult:
                        McConfig(Scenario(2, 0.5), 2, 1))
         with pytest.raises(ValueError, match="rate must be a number >= 0"):
             res.outage_at(rate)
+
+    def test_compares_and_hashes_by_identity(self):
+        # the generated __eq__ compared the capacity arrays, which raised
+        # numpy's ambiguous-truth ValueError, and the result was unhashable
+        config = McConfig(Scenario(4, 0.5), 300, 10, 2)
+        a, b = run(config), run(config)
+        assert a == a and a != b and {a: 1}[a] == 1
+        assert hash(a) != hash(b)
+        np.testing.assert_array_equal(a.per_slow_capacity, b.per_slow_capacity)
 
     def test_n_avail_follows_link_law(self):
         sc = Scenario(6, (0.2, 0.35, 0.5, 0.65, 0.8, 0.9), 0.5, Scheme.PERFECT)

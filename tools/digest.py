@@ -1,25 +1,28 @@
-"""Print one SHA-256 per family of phasehop outputs, to show that a change
-keeps them bit for bit.
+"""Print SHA-256 digests of phasehop outputs, one line per family or part
+of a family, to show that a change keeps them bit for bit.
 
     python tools/digest.py
 
 The script imports the `src/` of the tree it sits in, so running it in two
-checkouts compares them. The families are:
+checkouts compares them. The lines are:
 
-- montecarlo: `run` for every scheme (quantized at K = 2, 5 and 256), at
-  a = 0 and 1.5, seeds 0 and 2^64 - 1 and 1 to 4 workers, and
-  `quantized_sum_samples` at K = 2, 3, 5 and 256;
+- montecarlo.<scheme>: `run` for one scheme (quantized once per K, at
+  K = 2, 5, 16, 17 and 256: 16 is the largest K whose fast loop takes two
+  links a drawn byte, 17 the smallest that takes one), at a = 0 and 1.5,
+  seeds 0 and 2^64 - 1 and 1 to 4 workers;
+- montecarlo.quantized_sum_samples: at K = 2, 3, 5 and 256;
 - channel: `symbol_capacity` on float64 (row- and column-major) and
   integer theta;
 - analytic: the public functions of `phasehop.analytic` on a fixed grid
   of scenarios, methods, rates (0, 1023.5 and inf among them) and eps;
-- figures: every figure at the scaled-down overrides `SMALL_FIGURES` of
-  `tests/test_report.py`, columns and metadata;
+- figures.<id>: one figure at its scaled-down overrides in `SMALL_FIGURES`
+  of `tests/test_report.py`, columns and metadata;
 - errors: the type and text of the error each of a fixed list of bad
   inputs raises ("ok" where it raises none).
 
-Bits depend on the machine and the numpy build, so compare digests made
-on one machine.
+A change that moves one scheme's samples thus shows that the others kept
+their bits. Bits depend on the machine and the numpy build, so compare
+digests made on one machine.
 """
 from __future__ import annotations
 
@@ -56,15 +59,17 @@ def _feed(h, *values) -> None:
             h.update(x.tobytes())
 
 
-def montecarlo_digest() -> str:
-    h = hashlib.sha256()
+def montecarlo_digests() -> dict[str, str]:
+    out = {}
     # 7 links, 4 blocks: odd rows x links, so that a block's link states
     # end part-way through a four-word Philox output, with rows of 0 and of
     # all 7 links
     p = (0.0, 0.3, 0.5, 0.9, 1.0, 0.5, 0.2)
-    schemes = [(Scheme.PERFECT, None), (Scheme.STATIC, None), (Scheme.HOPPING, None)]
-    schemes += [(Scheme.QUANTIZED, k) for k in (2, 5, 256)]
-    for scheme, k in schemes:
+    schemes = {scheme.value: (scheme, None)
+               for scheme in (Scheme.PERFECT, Scheme.STATIC, Scheme.HOPPING)}
+    schemes.update({f"quantized{k}": (Scheme.QUANTIZED, k) for k in (2, 5, 16, 17, 256)})
+    for name, (scheme, k) in schemes.items():
+        h = hashlib.sha256()
         for a in (0.0, 1.5):
             for seed in (0, _TOP_SEED):
                 config = montecarlo.McConfig(Scenario(7, p, a, scheme, quant_levels=k),
@@ -72,13 +77,16 @@ def montecarlo_digest() -> str:
                 for workers in (1, 2, 3, 4):
                     res = montecarlo.run(config, workers)
                     _feed(h, res.per_slow_capacity, res.n_avail)
+        out[f"montecarlo.{name}"] = h.hexdigest()
+    h = hashlib.sha256()
     for k in (2, 3, 5, 256):  # the second shape takes two chunks
         for n, samples, seed in ((5, 999, 7), (64, 5000, _TOP_SEED)):
             _feed(h, montecarlo.quantized_sum_samples(n, k, samples, seed))
-    return h.hexdigest()
+    out["montecarlo.quantized_sum_samples"] = h.hexdigest()
+    return out
 
 
-def channel_digest() -> str:
+def channel_digest() -> dict[str, str]:
     h = hashlib.sha256()
     rng = np.random.default_rng(3)
     for k in (0, 1, 3, 10, 50):
@@ -89,10 +97,10 @@ def channel_digest() -> str:
         for theta in thetas:
             for los in (0.0, complex(2.0 * np.exp(1.3j))):
                 _feed(h, symbol_capacity(phi, theta, los))
-    return h.hexdigest()
+    return {"channel": h.hexdigest()}
 
 
-def analytic_digest() -> str:
+def analytic_digest() -> dict[str, str]:
     h = hashlib.sha256()
     ns = np.arange(0, 41)
     for method in _METHODS:
@@ -126,7 +134,7 @@ def analytic_digest() -> str:
         _feed(h, analytic.outage_static_fixed(links, _RATES, 1.5, CapacityMethod.APPROX_EI))
     cdf = analytic.EmpiricalCdf.from_samples(np.random.default_rng(4).exponential(10.0, 500))
     _feed(h, cdf(_RATES), analytic.outage_general_fading(_RATES, cdf))
-    return h.hexdigest()
+    return {"analytic": h.hexdigest()}
 
 
 def _small_figures() -> dict:
@@ -138,14 +146,16 @@ def _small_figures() -> dict:
     return module.SMALL_FIGURES
 
 
-def figures_digest() -> str:
-    h = hashlib.sha256()
+def figures_digests() -> dict[str, str]:
+    out = {}
     for fid, (overrides, _) in _small_figures().items():
+        h = hashlib.sha256()
         ds = report.build_figure(fid, overrides)
         _feed(h, json.dumps(ds.metadata, sort_keys=True))
         for name, column in ds.columns.items():
             _feed(h, name, column)
-    return h.hexdigest()
+        out[f"figures.{fid.value}"] = h.hexdigest()
+    return out
 
 
 def _bad_inputs():
@@ -188,7 +198,7 @@ def _bad_inputs():
                                                     {"eps_min": 0})
 
 
-def errors_digest() -> str:
+def errors_digest() -> dict[str, str]:
     h = hashlib.sha256()
     for label, call in _bad_inputs():
         try:
@@ -197,17 +207,18 @@ def errors_digest() -> str:
         except (ValueError, TypeError, OverflowError) as exc:
             outcome = f"{type(exc).__name__}: {exc}"
         _feed(h, f"{label}\n{outcome}\n")
-    return h.hexdigest()
+    return {"errors": h.hexdigest()}
 
 
-FAMILIES = {"montecarlo": montecarlo_digest, "channel": channel_digest,
-            "analytic": analytic_digest, "figures": figures_digest,
+FAMILIES = {"montecarlo": montecarlo_digests, "channel": channel_digest,
+            "analytic": analytic_digest, "figures": figures_digests,
             "errors": errors_digest}
 
 
 def main() -> None:
-    for name, family in FAMILIES.items():
-        print(name, family())
+    for family in FAMILIES.values():
+        for name, value in family().items():
+            print(name, value)
 
 
 if __name__ == "__main__":
