@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .hankel import _cdf_grid
+from .hankel import _CHUNK, _cdf_grid
 from .model import Scenario, Scheme, _capacity, _characteristic
 from .specfun import (_amplitude, _eps_values, _first_bad, _floats, _like, _nonnegatives,
                       cal_e, cal_e_inverse, marcum_q1, whole_number, whole_numbers)
@@ -94,8 +94,8 @@ def _method(method) -> CapacityMethod:
 _K1_ORDER = 16
 _K1_GRADING = 8
 # The rule for amplitude a has _K1_ORDER * (_K1_GRADING + 29 ceil(a)) nodes,
-# a temporary row of them per link count; a budget of 100,000 nodes allows
-# a up to 215 (99,888 nodes).
+# a row of them per link count in the table's blocks; a budget of 100,000
+# nodes allows a up to 215 (99,888 nodes).
 _K1_MAX_AMPLITUDE = (100_000 // _K1_ORDER - _K1_GRADING) // 29
 
 
@@ -122,22 +122,46 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
     C(k, a) = (2/ln 2) * integral_0^inf (1 - phi(t)) K1(t) dt, from
     ln(1 + r^2) = 2 * integral_0^inf (1 - J0(r t)) K1(t) dt, where phi is
     _characteristic of the LOS phasor and k links (their Gaussian law for
-    the approximate method, E(1/k)/ln 2 in closed form at a = 0)."""
+    the approximate method, E(1/k)/ln 2 in closed form at a = 0).
+
+    C(0) is the LOS channel alone, log2(1 + a^2). The rows k >= 1 of
+    phi at the rule's nodes are built in blocks of at most _CHUNK
+    entries, so memory does not grow with n: the exact row as J0(t)^k =
+    exp(k log|J0(t)|), negated where J0(t) < 0 for odd k and 0 where
+    J0(t) is 0, one exp per entry and no pow; the approximate row as
+    _characteristic's Gaussian form. Each is multiplied by the LOS value
+    J0(a t), taken once."""
+    table = np.empty(n + 1)
+    table[0] = _capacity(a, 0.0)
     if method is CapacityMethod.APPROX_EI and a == 0.0:
-        table = np.concatenate(([0.0], cal_e(1.0 / np.arange(1, n + 1)) / _LN2))
+        table[1:] = cal_e(1.0 / np.arange(1, n + 1)) / _LN2
     else:
         if a > _K1_MAX_AMPLITUDE:
             raise ValueError(
                 f"a must be at most {_K1_MAX_AMPLITUDE} for the capacity rule, got {a!r}")
         t, w = _k1_rule(max(1, math.ceil(a)))
-        k = np.arange(n + 1)[:, None]
-        rows = 1.0 - _characteristic(t, k, a, method is CapacityMethod.APPROX_EI)
-        # each row summed on its own (pairwise), so C(k) is the same number
-        # in every table that holds it. A one-row power would take numpy's
-        # x*x fast path at k = 2, 1 ulp off the general one, so single
-        # link counts are served from a table too.
-        table = (rows * w).sum(axis=1)
-        table[0] = _capacity(a, 0.0)  # no links: the LOS channel alone
+        exact = method is CapacityMethod.EXACT_HANKEL
+        if exact:
+            phi1 = _characteristic(t, 1)
+            with np.errstate(divide="ignore"):  # -inf where J0(t) is 0: rows of 0
+                log_abs = np.log(np.abs(phi1))
+            sign = np.sign(phi1)
+        los = _characteristic(t, 0, a, True)  # no links: the same under either law
+        step = max(1, _CHUNK // t.size)
+        for first in range(1, n + 1, step):
+            k = np.arange(first, min(first + step, n + 1))
+            if exact:
+                rows = np.exp(np.multiply.outer(k, log_abs))
+                rows[1 - first % 2::2] *= sign  # the odd link counts
+            else:
+                rows = _characteristic(t, k[:, None], 0.0, True)
+            if a:
+                rows *= los
+            np.subtract(1.0, rows, out=rows)
+            rows *= w
+            # each row summed on its own (pairwise), so C(k) is the same
+            # number in every table and block that holds it
+            table[first:first + k.size] = rows.sum(axis=1)
     table.setflags(write=False)
     return table
 

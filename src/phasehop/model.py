@@ -174,7 +174,9 @@ def _characteristic(t, links, a=0.0, gaussian=False):
     J0(t)^links, or with the links' sum taken as CN(0, links),
     J0(a t) e^{-links t^2/4}. t broadcasts against links; links keeps the
     caller's type, since numpy takes a Python int 2 as x*x, 1 ulp off the
-    general power of an int64 array."""
+    general power of an int64 array. The capacity table takes only J0(t)
+    and the LOS value from here, and forms J0(t)^k as exp(k log|J0(t)|)
+    with no pow per entry."""
     phi = np.exp(-0.25 * links * (t * t)) if gaussian else special.j0(t) ** links
     if a:  # J0(0) is exactly 1: at a = 0 the product would keep every bit
         phi *= special.j0(a * t)  # in place, into phi's fresh buffer

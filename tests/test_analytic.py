@@ -1,10 +1,13 @@
+import functools
 import json
+import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from phasehop import analytic
 from phasehop.analytic import (
@@ -21,7 +24,7 @@ from phasehop.analytic import (
     outage_static,
     outage_static_fixed,
 )
-from phasehop.model import Scenario, Scheme
+from phasehop.model import Scenario, Scheme, _characteristic
 from phasehop.montecarlo import McConfig, McResult, run
 from phasehop.specfun import binomial, cal_e
 
@@ -191,6 +194,92 @@ class TestErgCapacityLos:
         sigma = caps.std() / np.sqrt(caps.size)
         assert abs(erg_capacity_los(6, 2.0, EXACT) - caps.mean()) <= 4 * sigma
         assert abs(erg_capacity_los(6, 2.0, APPROX) - caps.mean()) > 4 * sigma
+
+
+def _table_by_rows(n, a, gaussian):
+    """C(0..n, a) with every row of _characteristic formed at once, its
+    integer powers by pow: the table's definition, with row 0 from the
+    rule's quadrature."""
+    t, w = analytic._k1_rule(max(1, math.ceil(a)))
+    return ((1.0 - _characteristic(t, np.arange(n + 1)[:, None], a, gaussian)) * w).sum(axis=1)
+
+
+class TestCapacityTable:
+    build = staticmethod(analytic._capacity_table.__wrapped__)
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
+    def test_exact_matches_powers(self, a):
+        # exp(k log|J0|) moved C(k) by at most 3.7e-16 relative against
+        # J0^k. It is 1 ulp off J0 itself at 225 of the 592 nodes for
+        # a = 0, yet C(1) keeps its bits
+        table, ref = self.build(256, a, EXACT), _table_by_rows(256, a, False)
+        np.testing.assert_allclose(table[1:], ref[1:], rtol=1e-15, atol=0)
+        assert table[1] == ref[1]
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    def test_blocks_keep_each_row(self, monkeypatch, method):
+        # at a = 100 a block holds 11 rows of 46,528 nodes: rows 1 to 40 in
+        # four blocks, one row a block, or as the last row of a table,
+        # are the same bits
+        assert analytic._CHUNK // analytic._k1_rule(100)[0].size == 11
+        table = self.build(40, 100.0, method)
+        for k in (1, 2, 11, 12, 23, 40):
+            assert self.build(k, 100.0, method)[k] == table[k]
+        monkeypatch.setattr(analytic, "_CHUNK", 1)
+        np.testing.assert_array_equal(self.build(40, 100.0, method), table)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0, 100.0])
+    def test_approx_is_gaussian_form(self, a):
+        # the Gaussian rows kept their bits: one exp per entry, as before
+        n = 60 if a < 100 else 15
+        np.testing.assert_array_equal(self.build(n, a, APPROX)[1:],
+                                      _table_by_rows(n, a, True)[1:])
+
+    @pytest.mark.parametrize("method", [EXACT, APPROX])
+    @pytest.mark.parametrize("a", [0.0, 0.5, 3.0, 100.0])
+    def test_zero_links_is_los_channel(self, a, method):
+        assert self.build(3, a, method)[0] == np.log2(1.0 + a * a)
+
+    def test_zero_of_j0(self, monkeypatch):
+        # J0 at the float nearest its first zero reads 9.6e-17, not 0; a
+        # libm that rounds it to 0 must give rows of 0 there for k >= 1,
+        # with no warning from log 0 and no 0 * -inf in row 0
+        t = np.array([0.5, special.jn_zeros(0, 1)[0], 3.0])
+        w = np.array([0.25, 1.0, 0.5])
+        monkeypatch.setattr(analytic, "_k1_rule", lambda k: (t, w))
+        table = self.build(5, 0.0, EXACT)
+        phi = special.j0(t)
+        assert 0.0 < phi[1] < 1e-16
+        ref = ((1.0 - phi ** np.arange(6)[:, None]) * w).sum(axis=1)
+        np.testing.assert_allclose(table, ref, rtol=1e-15, atol=0)
+
+        def rounded(t, links, a=0.0, gaussian=False):
+            phi = _characteristic(t, links, a, gaussian)
+            return np.where(np.abs(phi) < 1e-16, 0.0, phi)
+        monkeypatch.setattr(analytic, "_characteristic", rounded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = self.build(5, 0.0, EXACT)
+        phi[1] = 0.0
+        ref = ((1.0 - phi ** np.arange(6)[:, None]) * w).sum(axis=1)
+        assert table[0] == 0.0 and np.all(np.isfinite(table))
+        np.testing.assert_allclose(table, ref, rtol=1e-15, atol=0)
+
+    def test_memory(self, monkeypatch):
+        # an n x nodes temporary peaked at 90.5 MiB for C(0..10^4) and at
+        # 36.9 MiB for C(0..50, a = 100); in blocks, 12.1 and 13.8 MiB
+        for name in ("_capacity_table", "_k1_rule"):  # fresh caches
+            monkeypatch.setattr(analytic, name,
+                                functools.lru_cache(getattr(analytic, name).__wrapped__))
+        for call in (lambda: erg_capacity_nlos(10_000, "exact"),
+                     lambda: erg_capacity_los(50, 100.0, "exact")):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 20 * 2**20
 
 
 class TestOutageHopping:

@@ -1,5 +1,5 @@
 """tools/digest.py runs, prints a line for every family, and a fresh
-interpreter gives each Monte-Carlo line of this one."""
+interpreter gives each Monte-Carlo and analytic line of this one."""
 import importlib.util
 import pathlib
 import re
@@ -20,6 +20,7 @@ def test_fresh_process_prints_every_family():
     assert sorted(set(families), key=families.index) == list(digest.FAMILIES)
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in lines.values())
     assert {f"figures.{fid}" for fid in ("out-quantized", "cosine-histogram")} <= set(lines)
-    montecarlo = digest.FAMILIES["montecarlo"]()
-    assert len(montecarlo) == 9
-    assert {name: lines[name] for name in montecarlo} == montecarlo
+    for family, count in (("montecarlo", 9), ("analytic", 2)):
+        digests = digest.FAMILIES[family]()
+        assert len(digests) == count
+        assert {name: lines[name] for name in digests} == digests

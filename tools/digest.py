@@ -13,16 +13,19 @@ checkouts compares them. The lines are:
 - montecarlo.quantized_sum_samples: at K = 2, 3, 5 and 256;
 - channel: `symbol_capacity` on float64 (row- and column-major) and
   integer theta;
-- analytic: the public functions of `phasehop.analytic` on a fixed grid
-  of scenarios, methods, rates (0, 1023.5 and inf among them) and eps;
+- analytic.<method>: the public functions of `phasehop.analytic` for one
+  method (`exact` or `approx`) on a fixed grid of scenarios, rates (0,
+  1023.5 and inf among them) and eps; `approx` also takes the outputs
+  that need no method (perfect outage, `min_outage`, the empirical cdf
+  and general-fading outage);
 - figures.<id>: one figure at its scaled-down overrides in `SMALL_FIGURES`
   of `tests/test_report.py`, columns and metadata;
 - errors: the type and text of the error each of a fixed list of bad
   inputs raises ("ok" where it raises none).
 
-A change that moves one scheme's samples thus shows that the others kept
-their bits. Bits depend on the machine and the numpy build, so compare
-digests made on one machine.
+A change that moves one scheme's samples, or one method's capacities,
+thus shows that the others kept their bits. Bits depend on the machine
+and the numpy build, so compare digests made on one machine.
 """
 from __future__ import annotations
 
@@ -100,10 +103,11 @@ def channel_digest() -> dict[str, str]:
     return {"channel": h.hexdigest()}
 
 
-def analytic_digest() -> dict[str, str]:
-    h = hashlib.sha256()
+def analytic_digests() -> dict[str, str]:
+    hashes = {method: hashlib.sha256() for method in _METHODS}
+    approx = hashes[CapacityMethod.APPROX_EI]  # also takes the outputs of no method
     ns = np.arange(0, 41)
-    for method in _METHODS:
+    for method, h in hashes.items():
         _feed(h, analytic.erg_capacity_nlos(ns, method), analytic.erg_capacity_nlos(7, method))
         for a in (0.0, 0.5, 3.0):
             _feed(h, analytic.erg_capacity_los(ns, a, method),
@@ -119,6 +123,7 @@ def analytic_digest() -> dict[str, str]:
         if sc.scheme is Scheme.STATIC and sc.los_amplitude:
             methods = (CapacityMethod.APPROX_EI,)  # exact static takes no LOS
         for method in methods:
+            h = hashes[method]
             _feed(h, analytic.outage(sc, _RATES, method), analytic.outage(sc, 1.5, method),
                   analytic.eps_capacity(sc, _EPS, method))
             if sc.scheme in (Scheme.HOPPING, Scheme.QUANTIZED):
@@ -126,15 +131,15 @@ def analytic_digest() -> dict[str, str]:
             elif sc.scheme is Scheme.STATIC:
                 _feed(h, analytic.outage_static(sc, _RATES, method))
         if sc.scheme is Scheme.PERFECT:
-            _feed(h, analytic.outage_perfect(sc, _RATES))
-        _feed(h, analytic.min_outage(sc))
+            _feed(approx, analytic.outage_perfect(sc, _RATES))
+        _feed(approx, analytic.min_outage(sc))
     for links in (1, 2, 6):
-        for method in _METHODS:
+        for method, h in hashes.items():
             _feed(h, analytic.outage_static_fixed(links, _RATES, 0.0, method))
-        _feed(h, analytic.outage_static_fixed(links, _RATES, 1.5, CapacityMethod.APPROX_EI))
+        _feed(approx, analytic.outage_static_fixed(links, _RATES, 1.5, CapacityMethod.APPROX_EI))
     cdf = analytic.EmpiricalCdf.from_samples(np.random.default_rng(4).exponential(10.0, 500))
-    _feed(h, cdf(_RATES), analytic.outage_general_fading(_RATES, cdf))
-    return {"analytic": h.hexdigest()}
+    _feed(approx, cdf(_RATES), analytic.outage_general_fading(_RATES, cdf))
+    return {f"analytic.{method.value}": h.hexdigest() for method, h in hashes.items()}
 
 
 def _small_figures() -> dict:
@@ -211,7 +216,7 @@ def errors_digest() -> dict[str, str]:
 
 
 FAMILIES = {"montecarlo": montecarlo_digests, "channel": channel_digest,
-            "analytic": analytic_digest, "figures": figures_digests,
+            "analytic": analytic_digests, "figures": figures_digests,
             "errors": errors_digest}
 
 
