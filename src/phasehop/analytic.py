@@ -34,7 +34,7 @@ import numpy as np
 from scipy import special
 
 from .hankel import _CHUNK, _cdf_grid
-from .model import Scenario, Scheme, _capacity, _characteristic
+from .model import Scenario, Scheme, _capacity, _characteristic, _j0_power
 from .specfun import (_amplitude, _eps_values, _first_bad, _floats, _like, _nonnegatives,
                       cal_e, cal_e_inverse, marcum_q1, whole_number, whole_numbers)
 
@@ -93,6 +93,18 @@ def _method(method) -> CapacityMethod:
 # K1 has its 1/t and t log t terms.
 _K1_ORDER = 16
 _K1_GRADING = 8
+# np.polynomial.legendre.leggauss(_K1_ORDER) as the reprs that give back each
+# bit, so that no process solves for them again (230 of the rule's 290 us).
+_K1_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_K1_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176])
 # The rule for amplitude a has _K1_ORDER * (_K1_GRADING + 29 ceil(a)) nodes,
 # a row of them per link count in the table's blocks; a budget of 100,000
 # nodes allows a up to 215 (99,888 nodes).
@@ -106,10 +118,9 @@ def _k1_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
     h = np.pi / (2 * k)
     edges = np.concatenate(([0.0], h * 2.0 ** np.arange(-_K1_GRADING, 0),
                             h * np.arange(1, 29 * k + 1)))
-    x, w = np.polynomial.legendre.leggauss(_K1_ORDER)
     lo, hi = edges[:-1, None], edges[1:, None]
-    t = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).ravel()
-    weights = (0.5 * (hi - lo) * w).ravel() * special.k1(t) * (2.0 / _LN2)
+    t = (0.5 * (hi + lo) + 0.5 * (hi - lo) * _K1_NODES).ravel()
+    weights = (0.5 * (hi - lo) * _K1_WEIGHTS).ravel() * special.k1(t) * (2.0 / _LN2)
     for table in (t, weights):
         table.setflags(write=False)
     return t, weights
@@ -126,11 +137,10 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
 
     C(0) is the LOS channel alone, log2(1 + a^2). The rows k >= 1 of
     phi at the rule's nodes are built in blocks of at most _CHUNK
-    entries, so memory does not grow with n: the exact row as J0(t)^k =
-    exp(k log|J0(t)|), negated where J0(t) < 0 for odd k and 0 where
-    J0(t) is 0, one exp per entry and no pow; the approximate row as
-    _characteristic's Gaussian form. Each is multiplied by the LOS value
-    J0(a t), taken once."""
+    entries, so memory does not grow with n: the exact row as
+    model._j0_power of J0(t), one exp per entry and no pow; the
+    approximate row as _characteristic's Gaussian form. Each is
+    multiplied by the LOS value J0(a t), taken once."""
     table = np.empty(n + 1)
     table[0] = _capacity(a, 0.0)
     if method is CapacityMethod.APPROX_EI and a == 0.0:
@@ -143,18 +153,11 @@ def _capacity_table(n: int, a: float, method: CapacityMethod) -> np.ndarray:
         exact = method is CapacityMethod.EXACT_HANKEL
         if exact:
             phi1 = _characteristic(t, 1)
-            with np.errstate(divide="ignore"):  # -inf where J0(t) is 0: rows of 0
-                log_abs = np.log(np.abs(phi1))
-            sign = np.sign(phi1)
         los = _characteristic(t, 0, a, True)  # no links: the same under either law
         step = max(1, _CHUNK // t.size)
         for first in range(1, n + 1, step):
-            k = np.arange(first, min(first + step, n + 1))
-            if exact:
-                rows = np.exp(np.multiply.outer(k, log_abs))
-                rows[1 - first % 2::2] *= sign  # the odd link counts
-            else:
-                rows = _characteristic(t, k[:, None], 0.0, True)
+            k = np.arange(first, min(first + step, n + 1))[:, None]
+            rows = _j0_power(phi1, k) if exact else _characteristic(t, k, 0.0, True)
             if a:
                 rows *= los
             np.subtract(1.0, rows, out=rows)
@@ -240,7 +243,9 @@ def _curve(scenario: Scenario, method: CapacityMethod):
     def eps_capacity_of(e: np.ndarray) -> np.ndarray:
         from scipy import optimize  # only here: kept off the import path
         if not known:  # one update, so another thread sees both ends or none
-            top, bottom = evaluate(np.array([r_max, _EPS_LO]))
+            # each end alone: beside _EPS_LO, the exact series would run at
+            # r_max too, where every F_k is 1 (_cdf_grid skips per chunk)
+            top, bottom = (evaluate(np.array([r]))[0] for r in (r_max, _EPS_LO))
             known.update({r_max: top, _EPS_LO: bottom})
         top, bottom = known[r_max], known[_EPS_LO]
         out = np.where(top <= e, r_max, 0.0)

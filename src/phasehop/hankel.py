@@ -2,13 +2,15 @@
 
 The distribution function of the sum of n unit phasors is a Fourier-Bessel
 series over the zeros of J1 (Barakat 1974, Optica Acta 21); n = 1 and
-n = 2 are closed forms. One evaluator, _cdf_grid, serves every caller: it
-takes a whole array of amplitudes and a sorted set of link counts and sums
-the series of every link count in one pass, from one cached table per link
-set, in chunks of amplitudes that bound its temporary. The zeros of J1 come
-from McMahon's expansion refined by Newton steps. The density is exact up
-to n = 4 (Borwein, Straub, Wan and Zudilin 2012, Canad. J. Math. 64) and
-the series' derivative from n = 5, in chunks of the same size.
+n = 2 are closed forms. Its coefficients take J0(gamma_m / n)^n from
+model._j0_power, as the exact capacity table does. One evaluator,
+_cdf_grid, serves every caller: it takes a whole array of amplitudes and
+a sorted set of link counts and sums the series of every link count in
+one pass, from one cached table per link set, in chunks of amplitudes
+that bound its temporary. The zeros of J1 come from McMahon's expansion
+refined by Newton steps. The density is exact up to n = 4 (Borwein,
+Straub, Wan and Zudilin 2012, Canad. J. Math. 64) and the series'
+derivative from n = 5, in chunks of the same size.
 
 The Hankel transform, the series' test oracle, integrates oscillatory and
 often only conditionally convergent integrands block by block with adaptive
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .model import _characteristic
+from .model import _characteristic, _j0_power
 from .specfun import _first_bad, whole_number
 
 __all__ = ["AccuracyWarning", "hankel_transform", "PhasorSumDistribution"]
@@ -185,10 +187,10 @@ def _j1_zeros() -> tuple[np.ndarray, np.ndarray]:
 def _cdf_series(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies gamma_m / n and coefficients
     phi(gamma_m / n) / (gamma_m J0(gamma_m)^2) of the cdf series of n >= 3
-    phasors, phi their characteristic function, up to the last
-    coefficient above _NEGLIGIBLE. _series_table holds them."""
+    phasors, phi = J0^n their characteristic function (model._j0_power),
+    up to the last coefficient above _NEGLIGIBLE. _series_table holds them."""
     gamma, norm = _j1_zeros()
-    coef = _characteristic(gamma / n, n) / norm
+    coef = _j0_power(_characteristic(gamma / n, 1), n) / norm
     terms = np.flatnonzero(np.abs(coef) > _NEGLIGIBLE)[-1] + 1
     return gamma[:terms] / n, coef[:terms]
 
@@ -228,9 +230,11 @@ def _cdf_grid(links: np.ndarray, rho) -> np.ndarray:
     x = rho.reshape(-1, 1)
     few, freq, coef, starts = _series_table(tuple(links.tolist()))
     grid = np.ones((x.shape[0], links.size))
-    if few:  # 1 and 2 lead the sorted links; (2/pi) asin(1) rounds to 1
-        grid[:, :few] = np.where(links[:few] == 1, x > 1.0,
-                                 np.arcsin(np.minimum(x, 2.0) / 2.0) * (2.0 / np.pi))
+    if few:  # 1 and 2 lead the sorted links, each column only if present
+        if links[0] == 1:
+            grid[:, 0] = x[:, 0] > 1.0
+        if links[few - 1] == 2:  # (2/pi) asin(1) rounds to 1
+            grid[:, few - 1] = np.arcsin(np.minimum(x[:, 0], 2.0) / 2.0) * (2.0 / np.pi)
     series = links[few:]
     rows = max(1, _CHUNK // max(1, freq.size))
     for lo in range(0, x.shape[0], rows):

@@ -174,13 +174,23 @@ def _characteristic(t, links, a=0.0, gaussian=False):
     J0(t)^links, or with the links' sum taken as CN(0, links),
     J0(a t) e^{-links t^2/4}. t broadcasts against links; links keeps the
     caller's type, since numpy takes a Python int 2 as x*x, 1 ulp off the
-    general power of an int64 array. The capacity table takes only J0(t)
-    and the LOS value from here, and forms J0(t)^k as exp(k log|J0(t)|)
-    with no pow per entry."""
+    general power of an int64 array. The exact capacity table and the
+    cdf series take only J0 values (links = 1) and the LOS value from
+    here, and form each power J0^k with _j0_power."""
     phi = np.exp(-0.25 * links * (t * t)) if gaussian else special.j0(t) ** links
     if a:  # J0(0) is exactly 1: at a = 0 the product would keep every bit
         phi *= special.j0(a * t)  # in place, into phi's fresh buffer
     return phi
+
+
+def _j0_power(phi1, k):
+    """phi1^k for J0 values phi1 and whole k >= 1 (broadcast against each
+    other) as exp(k log|phi1|), negated where phi1 < 0 and k is odd: one
+    exp per entry and no pow. A phi1 of 0 gives 0, with no log-0 warning."""
+    with np.errstate(divide="ignore"):  # log 0 is -inf, and exp(-inf) is 0
+        power = np.exp(k * np.log(np.abs(phi1)))
+    np.negative(power, out=power, where=(phi1 < 0) & (k % 2 == 1))
+    return power
 
 
 def _capacity(re, im):

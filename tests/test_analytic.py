@@ -207,6 +207,12 @@ def _table_by_rows(n, a, gaussian):
 class TestCapacityTable:
     build = staticmethod(analytic._capacity_table.__wrapped__)
 
+    def test_rule_constants_are_leggauss(self):
+        # the written-out nodes and weights are leggauss's, bit for bit
+        x, w = np.polynomial.legendre.leggauss(analytic._K1_ORDER)
+        assert analytic._K1_NODES.tobytes() == x.tobytes()
+        assert analytic._K1_WEIGHTS.tobytes() == w.tobytes()
+
     @pytest.mark.parametrize("a", [0.0, 0.5, 3.0])
     def test_exact_matches_powers(self, a):
         # exp(k log|J0|) moved C(k) by at most 3.7e-16 relative against

@@ -331,6 +331,32 @@ class TestJ1Zeros:
             assert abs(gamma[m - 1] - float(want)) <= np.spacing(float(want)), m
 
 
+class TestSeriesTable:
+    def test_coefficients_match_powers(self):
+        # J0^n as exp(n log|J0|) moved the coefficients above _NEGLIGIBLE by
+        # at most 7.0e-15 relative against J0^n by pow; the interior ones far
+        # below it (down to 1e-70) by up to 2e-14 relative, under 1e-72 absolute
+        gamma, norm = _j1_zeros()
+        for n in range(3, 257):
+            freq, coef = _cdf_series(n)
+            ref = special.j0(gamma / n) ** n / norm
+            assert coef.size == np.flatnonzero(np.abs(ref) > hankel._NEGLIGIBLE)[-1] + 1
+            np.testing.assert_array_equal(freq, gamma[:coef.size] / n)
+            np.testing.assert_allclose(coef, ref[:coef.size], rtol=1e-14,
+                                       atol=1e-14 * hankel._NEGLIGIBLE, err_msg=f"n={n}")
+
+    @pytest.mark.parametrize("links", [range(1, 21), range(2, 65)])
+    def test_segments_are_single_tables(self, links):
+        few, freq, coef, starts = hankel._series_table(tuple(links))
+        series = [k for k in links if k > 2]
+        assert few == len(links) - len(series)
+        ends = np.append(starts[1:], freq.size)
+        for k, lo, hi in zip(series, starts, ends):
+            _, one_freq, one_coef, _ = hankel._series_table((k,))
+            np.testing.assert_array_equal(freq[lo:hi], one_freq)
+            np.testing.assert_array_equal(coef[lo:hi], one_coef)
+
+
 def series_reference(k, rho):
     """F_k(rho-) for one link count k: the closed forms at k = 1 and 2,
     else the _cdf_series terms of k alone, summed row by row."""

@@ -18,6 +18,10 @@ checkouts compares them. The lines are:
   1023.5 and inf among them) and eps; `approx` also takes the outputs
   that need no method (perfect outage, `min_outage`, the empirical cdf
   and general-fading outage);
+- hankel.cdf: `PhasorSumDistribution(n).cdf` and `.pdf` for n = 1 to 6
+  and 20, and `hankel._cdf_grid` over the link sets 1..20 and
+  (2, 3, 7, 64), at amplitudes that take in each link count, its two
+  neighbouring floats, 0 and inf;
 - figures.<id>: one figure at its scaled-down overrides in `SMALL_FIGURES`
   of `tests/test_report.py`, columns and metadata;
 - errors: the type and text of the error each of a fixed list of bad
@@ -42,6 +46,7 @@ import numpy as np  # noqa: E402
 
 from phasehop import analytic, montecarlo, report  # noqa: E402
 from phasehop.analytic import CapacityMethod  # noqa: E402
+from phasehop.hankel import PhasorSumDistribution, _cdf_grid  # noqa: E402
 from phasehop.model import Scenario, Scheme, symbol_capacity  # noqa: E402
 
 _METHODS = tuple(CapacityMethod)
@@ -142,6 +147,20 @@ def analytic_digests() -> dict[str, str]:
     return {f"analytic.{method.value}": h.hexdigest() for method, h in hashes.items()}
 
 
+def hankel_digest() -> dict[str, str]:
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 4, 5, 6, 20):
+        law = PhasorSumDistribution(n)
+        s = np.linspace(0.0, n, 4 * n + 3)  # 7 points at n = 1, 11 at n = 2, ...
+        _feed(h, law.cdf(s), law.cdf(float(s[1])), law.pdf(s[:7]), law.pdf(float(s[-2])))
+    for links in (np.arange(1, 21), np.array([2, 3, 7, 64])):
+        k = links.astype(float)
+        rho = np.concatenate(([0.0, np.inf], k, np.nextafter(k, 0.0), np.nextafter(k, np.inf),
+                              np.linspace(0.0, k[-1] + 1.0, 41)))
+        _feed(h, _cdf_grid(links, rho), _cdf_grid(links, rho[::7].reshape(-1, 1)))
+    return {"hankel.cdf": h.hexdigest()}
+
+
 def _small_figures() -> dict:
     """The `SMALL_FIGURES` table of tests/test_report.py."""
     spec = importlib.util.spec_from_file_location(
@@ -216,8 +235,8 @@ def errors_digest() -> dict[str, str]:
 
 
 FAMILIES = {"montecarlo": montecarlo_digests, "channel": channel_digest,
-            "analytic": analytic_digests, "figures": figures_digests,
-            "errors": errors_digest}
+            "analytic": analytic_digests, "hankel": hankel_digest,
+            "figures": figures_digests, "errors": errors_digest}
 
 
 def main() -> None:
