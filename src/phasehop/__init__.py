@@ -16,7 +16,7 @@ from .analytic import (
     outage_static,
     outage_static_fixed,
 )
-from .hankel import PhasorSumDistribution, hankel_transform
+from .hankel import PhasorSumDistribution
 from .model import Scenario, Scheme, symbol_capacity
 from .montecarlo import McConfig, McResult, quantized_sum_moments, run
 from .report import FigureDataset, FigureId, build_figure, write_csv, write_json

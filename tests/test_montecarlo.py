@@ -1,8 +1,4 @@
-import os
-import pathlib
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -238,30 +234,6 @@ class TestDeterminism:
         assert not np.array_equal(a, b)
 
 
-# SHA-256 of run and quantized_sum_samples outputs, run here and in a fresh
-# interpreter: every scheme on 7 links (odd rows x links, so that a block's
-# link states end part-way through a four-word Philox output), with rows
-# of 0 and of all 7 links and rejected quantized levels
-_DIGEST = """
-import hashlib
-from phasehop.model import Scenario, Scheme
-from phasehop.montecarlo import McConfig, run, quantized_sum_samples
-
-def digest():
-    h = hashlib.sha256()
-    p = (0.0, 0.3, 0.5, 0.9, 1.0, 0.5, 0.2)
-    for scheme, k in ((Scheme.PERFECT, None), (Scheme.STATIC, None),
-                      (Scheme.HOPPING, None), (Scheme.QUANTIZED, 3)):
-        for seed in (0, 2**64 - 1):
-            res = run(McConfig(Scenario(7, p, 1.5, scheme, quant_levels=k), 301, 9, seed),
-                      workers=2)
-            h.update(res.per_slow_capacity.tobytes())
-            h.update(res.n_avail.tobytes())
-    h.update(quantized_sum_samples(5, 3, 999, seed=7).tobytes())
-    return h.hexdigest()
-"""
-
-
 class TestStreamReuse:
     """Each thread re-keys one Philox generator per block: no run or sum
     may read anything an earlier one left in it."""
@@ -297,17 +269,6 @@ class TestStreamReuse:
         for other in self._others():
             other()
             np.testing.assert_array_equal(quantized_sum_samples(4, 5, 3001, seed=12), ref)
-
-    def test_fresh_process_same_digest(self):
-        for other in self._others():  # this thread's generator has been used
-            other()
-        scope = {}
-        exec(_DIGEST, scope)
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run([sys.executable, "-c", _DIGEST + "print(digest())"],
-                              capture_output=True, text=True, check=True,
-                              env=dict(os.environ, PYTHONPATH=str(src)))
-        assert done.stdout == scope["digest"]() + "\n"
 
 
 class TestLinkStates:

@@ -7,9 +7,11 @@ The script imports the `src/` of the tree it sits in, so running it in two
 checkouts compares them. The lines are:
 
 - montecarlo.<scheme>: `run` for one scheme (quantized once per K, at
-  K = 2, 5, 16, 17 and 256: 16 is the largest K whose fast loop takes two
-  links a drawn byte, 17 the smallest that takes one), at a = 0 and 1.5,
-  seeds 0 and 2^64 - 1 and 1 to 4 workers;
+  K = 2, 3, 5, 16, 17 and 256: 16 is the largest K whose fast loop takes
+  two links a drawn byte, 17 the smallest that takes one), at a = 0 and
+  1.5, seeds 0 and 2^64 - 1, serially and on 3 threads over its 4 blocks
+  (`TestDeterminism` in tests/test_montecarlo.py compares more worker
+  counts within one tree);
 - montecarlo.quantized_sum_samples: at K = 2, 3, 5 and 256;
 - channel: `symbol_capacity` on float64 (row- and column-major) and
   integer theta;
@@ -22,19 +24,20 @@ checkouts compares them. The lines are:
   and 20, and `hankel._cdf_grid` over the link sets 1..20 and
   (2, 3, 7, 64), at amplitudes that take in each link count, its two
   neighbouring floats, 0 and inf;
-- figures.<id>: one figure at its scaled-down overrides in `SMALL_FIGURES`
-  of `tests/test_report.py`, columns and metadata;
+- figures.<id>: one figure at its scaled-down overrides in `SMALL_FIGURES`,
+  columns and metadata (tests/test_report.py builds each from the same
+  table);
 - errors: the type and text of the error each of a fixed list of bad
   inputs raises ("ok" where it raises none).
 
 A change that moves one scheme's samples, or one method's capacities,
 thus shows that the others kept their bits. Bits depend on the machine
-and the numpy build, so compare digests made on one machine.
+and the numpy build, so compare digests made on one machine. The 25 lines
+take about 4 s on a 2-core box, and the script needs no pytest.
 """
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import pathlib
 import sys
@@ -48,6 +51,7 @@ from phasehop import analytic, montecarlo, report  # noqa: E402
 from phasehop.analytic import CapacityMethod  # noqa: E402
 from phasehop.hankel import PhasorSumDistribution, _cdf_grid  # noqa: E402
 from phasehop.model import Scenario, Scheme, symbol_capacity  # noqa: E402
+from phasehop.report import FigureId  # noqa: E402
 
 _METHODS = tuple(CapacityMethod)
 _RATES = np.concatenate((np.linspace(0.0, 8.0, 33), [1023.5, np.inf]))
@@ -75,14 +79,14 @@ def montecarlo_digests() -> dict[str, str]:
     p = (0.0, 0.3, 0.5, 0.9, 1.0, 0.5, 0.2)
     schemes = {scheme.value: (scheme, None)
                for scheme in (Scheme.PERFECT, Scheme.STATIC, Scheme.HOPPING)}
-    schemes.update({f"quantized{k}": (Scheme.QUANTIZED, k) for k in (2, 5, 16, 17, 256)})
+    schemes.update({f"quantized{k}": (Scheme.QUANTIZED, k) for k in (2, 3, 5, 16, 17, 256)})
     for name, (scheme, k) in schemes.items():
         h = hashlib.sha256()
         for a in (0.0, 1.5):
             for seed in (0, _TOP_SEED):
                 config = montecarlo.McConfig(Scenario(7, p, a, scheme, quant_levels=k),
                                              3 * 256 + 5, 9, seed)
-                for workers in (1, 2, 3, 4):
+                for workers in (1, 3):
                     res = montecarlo.run(config, workers)
                     _feed(h, res.per_slow_capacity, res.n_avail)
         out[f"montecarlo.{name}"] = h.hexdigest()
@@ -161,18 +165,35 @@ def hankel_digest() -> dict[str, str]:
     return {"hankel.cdf": h.hexdigest()}
 
 
-def _small_figures() -> dict:
-    """The `SMALL_FIGURES` table of tests/test_report.py."""
-    spec = importlib.util.spec_from_file_location(
-        "_small_figures", ROOT / "tests" / "test_report.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SMALL_FIGURES
+# every figure at scaled-down sample counts and grids, with its column names
+SMALL_FIGURES = {
+    FigureId.ERG_CAP_COMPARE: ({"n_max": 6}, ["n", "exact", "approx"]),
+    FigureId.ERG_CAP_LOS: ({"n": 3, "slow": 10, "fast": 40}, ["n", "analytic", "mc"]),
+    FigureId.OUT_HOPPING_NLOS: (
+        {"slow": 20, "fast": 50, "points": 15},
+        ["rate", "analytic_p0.1", "mc_p0.1", "analytic_p0.5", "mc_p0.5",
+         "analytic_p0.9", "mc_p0.9"]),
+    FigureId.OUT_HOPPING_LOS: (
+        {"slow": 20, "fast": 50, "points": 15},
+        ["rate", "analytic_p0", "mc_p0", "analytic_p0.5", "mc_p0.5", "analytic_p1", "mc_p1"]),
+    FigureId.EPS_CAP_NLOS: ({"points": 15}, ["eps", "rate_p0.1", "rate_p0.5", "rate_p0.9"]),
+    FigureId.OUT_QUANTIZED: ({"slow": 20, "fast": 100, "points": 15},
+                             ["rate", "analytic", "mc_quantized"]),
+    FigureId.QUANTIZED_SWEEP_K2: (
+        {"slow": 10, "fast": 40, "points": 15},
+        ["rate", "mc_quantized_n16", "mc_hopping_n16", "mc_quantized_n64", "mc_hopping_n64"]),
+    FigureId.STATIC_NLOS: (
+        {"samples": 600, "points": 15},
+        ["rate", "approx_p0.1", "mc_p0.1", "approx_p0.5", "mc_p0.5", "approx_p0.9", "mc_p0.9"]),
+    FigureId.SCHEME_COMPARISON: ({"points": 15}, ["rate", "hopping", "static", "perfect"]),
+    FigureId.COSINE_HISTOGRAM: ({"samples": 2000, "bins": 12},
+                                ["x", "density_n4", "normal_n4", "density_n50", "normal_n50"]),
+}
 
 
 def figures_digests() -> dict[str, str]:
     out = {}
-    for fid, (overrides, _) in _small_figures().items():
+    for fid, (overrides, _) in SMALL_FIGURES.items():
         h = hashlib.sha256()
         ds = report.build_figure(fid, overrides)
         _feed(h, json.dumps(ds.metadata, sort_keys=True))
@@ -194,7 +215,7 @@ def _bad_inputs():
     yield "sum-n0", lambda: montecarlo.quantized_sum_samples(0, 4, 10)
     yield "sum-seed", lambda: montecarlo.quantized_sum_samples(3, 4, 10, seed=-1)
     yield "histogram-k257", lambda: report.build_figure(
-        report.FigureId.COSINE_HISTOGRAM, {"k": 257, "samples": 10, "n_values": [2]})
+        FigureId.COSINE_HISTOGRAM, {"k": 257, "samples": 10, "n_values": [2]})
     yield "mc-guard", lambda: montecarlo.McConfig(sc, 10**6, 10**5)
     yield "mc-slow0", lambda: montecarlo.McConfig(sc, 0, 10)
     yield "mc-seed", lambda: montecarlo.McConfig(sc, 10, 10, seed=2**64)
@@ -216,9 +237,9 @@ def _bad_inputs():
     yield "erg-a", lambda: analytic.erg_capacity_los(2, 1e308)
     yield "erg-n", lambda: analytic.erg_capacity_nlos(2.5, CapacityMethod.APPROX_EI)
     yield "method", lambda: analytic.outage(sc, 1.0, "fast")
-    yield "figure-override", lambda: report.build_figure(report.FigureId.SCHEME_COMPARISON,
+    yield "figure-override", lambda: report.build_figure(FigureId.SCHEME_COMPARISON,
                                                          {"bogus": 1})
-    yield "figure-eps", lambda: report.build_figure(report.FigureId.EPS_CAP_NLOS,
+    yield "figure-eps", lambda: report.build_figure(FigureId.EPS_CAP_NLOS,
                                                     {"eps_min": 0})
 
 
